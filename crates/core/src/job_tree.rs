@@ -255,11 +255,17 @@ fn run_level(
         groups.push(cur);
     }
 
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    let results: Vec<(ReduceNode, u64)> = if host_parallel && threads > 1 && groups.len() >= 4 {
+    // Only a level of four or more groups can fan out; probing the CPU count
+    // reads cgroup files, so narrower levels never ask.
+    let threads = if host_parallel && groups.len() >= 4 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    } else {
+        1
+    };
+    let results: Vec<(ReduceNode, u64)> = if threads > 1 {
         // Contiguous batches, one OS thread each — the combines are
         // independent, so the output is bit-identical to the serial walk.
         let per = groups.len().div_ceil(threads);

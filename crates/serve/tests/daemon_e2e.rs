@@ -132,16 +132,20 @@ fn malformed_ingest_lines_are_counted_not_fatal() {
         s.write_all((msg("ok", 0, 0, 42, 1.0).to_line() + "\n").as_bytes())
             .unwrap();
         s.write_all(b"{\"v\":999}\n").unwrap();
+        // Nesting this deep would overflow the ingest thread's stack if
+        // the parser recursed without a bound.
+        s.write_all(("[".repeat(100_000) + "\n").as_bytes())
+            .unwrap();
         s.flush().unwrap();
     }
     let body = await_metrics(&daemon, |b| {
         metric_value(b, "tfdarshan_diffs_ingested_total ").as_deref() == Some("1")
     });
-    // Both bad lines (garbage + missing fields) count as parse errors; the
-    // valid message landed.
+    // All three bad lines (garbage, missing fields, too deep) count as
+    // parse errors; the valid message landed.
     assert_eq!(
         metric_value(&body, "tfdarshan_ingest_parse_errors_total ").as_deref(),
-        Some("2")
+        Some("3")
     );
     assert_eq!(
         metric_value(&body, "tfdarshan_job_bytes_read_total{job=\"ok\"}").as_deref(),

@@ -101,10 +101,11 @@ fn stdio_stats() -> impl Strategy<Value = StdioStats> {
 }
 
 /// Paths with JSON- and HTML-hostile characters: quotes, backslashes,
-/// angle brackets, ampersands, non-ASCII — all printable ASCII plus a few
-/// multibyte literals.
+/// angle brackets, ampersands, non-ASCII — all control characters, all
+/// printable ASCII, and 2-, 3- and 4-byte literals, so every escape class
+/// sits next to multibyte runs.
 fn path() -> impl Strategy<Value = String> {
-    r#"[ -~α✓]{0,24}"#
+    "[\u{0}-\u{1f} -~α✓🦀]{0,24}"
 }
 
 fn file_activity() -> impl Strategy<Value = FileActivity> {
