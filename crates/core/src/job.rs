@@ -16,18 +16,17 @@
 //!   sanitizer) get a lazily-attached job-wide bus via
 //!   [`JobCtx::job_bus`], while per-rank consumers keep reading the
 //!   rank's own bus;
-//! * [`JobReport`] — per-rank reports plus the job-level merge, using
-//!   parallel Darshan's shared-file reduction semantics: records of files
-//!   touched by several ranks merge (counters sum, extrema min/max, first
-//!   timestamps min-nonzero, last timestamps max), records of rank-private
-//!   files pass through **unchanged** — which makes the `world_size == 1`
-//!   job report byte-identical to the single-process path.
+//! * [`JobReport`] — per-rank reports plus the job-level merge, built by
+//!   the tree reduction in [`crate::job_tree`] with parallel Darshan's
+//!   shared-file reduction semantics: records of files touched by several
+//!   ranks merge (counters sum, extrema min/max, first timestamps
+//!   min-nonzero, last timestamps max), records of rank-private files pass
+//!   through **unchanged** — which makes the `world_size == 1` job report
+//!   byte-identical to the single-process path.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use darshan_sim::{reduce, DxtSegment, PosixRecord, StdioRecord};
+use darshan_sim::DxtSegment;
 use mpi_sim::MpiWorld;
 use posix_sim::{GotError, Process};
 use probe::ProbeBus;
@@ -145,134 +144,6 @@ pub struct JobReport {
 pub(crate) fn missing_ranks_of(sessions: &[RankSession], world_size: u32) -> Vec<u32> {
     let have: std::collections::HashSet<u32> = sessions.iter().map(|s| s.rank).collect();
     (0..world_size).filter(|r| !have.contains(r)).collect()
-}
-
-/// Merge per-rank sessions into the job view with parallel Darshan's
-/// shared-file reduction semantics: a record id appearing in more than one
-/// rank's diff is merged ([`darshan_sim::reduce::merge_posix_records`] /
-/// [`darshan_sim::reduce::merge_stdio_records`] — counters sum, byte
-/// extrema max, first timestamps min-nonzero, last timestamps max,
-/// cumulative times sum); a record id unique to one rank passes through
-/// unchanged. The job window spans min-start..max-stop; the job DXT is the
-/// rank-tagged concatenation (kept in end-time order for `world_size > 1`).
-///
-/// This is the historical entry point and derives the world size from the
-/// session count — callers that know the true world size (and want missing
-/// ranks surfaced rather than silently absorbed) use
-/// [`reduce_job_sessions_sized`]; wide jobs use the log-depth
-/// [`crate::job_tree::reduce_job_sessions_tree`], which is byte-identical.
-pub fn reduce_job_sessions(sessions: &[RankSession]) -> JobReport {
-    reduce_job_sessions_sized(sessions, sessions.len() as u32)
-}
-
-/// [`reduce_job_sessions`] with the job's true `world_size` threaded
-/// through: the report carries it verbatim and lists the ranks that
-/// produced no session instead of pretending the world was smaller.
-pub fn reduce_job_sessions_sized(sessions: &[RankSession], world_size: u32) -> JobReport {
-    assert!(
-        !sessions.is_empty(),
-        "job reduction needs at least one rank"
-    );
-
-    // Group records by id across ranks, preserving rec-id order (diffs are
-    // already rec-id-sorted, and so is a BTreeMap walk).
-    let mut posix: BTreeMap<u64, Vec<&PosixRecord>> = BTreeMap::new();
-    let mut stdio: BTreeMap<u64, Vec<&StdioRecord>> = BTreeMap::new();
-    for s in sessions {
-        for r in &s.diff.posix {
-            posix.entry(r.rec_id).or_default().push(r);
-        }
-        for r in &s.diff.stdio {
-            stdio.entry(r.rec_id).or_default().push(r);
-        }
-    }
-    let merged_posix: Vec<PosixRecord> = posix
-        .into_values()
-        .filter_map(|group| {
-            if group.len() == 1 {
-                Some(group[0].clone()) // rank-private file: pass through
-            } else {
-                let owned: Vec<PosixRecord> = group.into_iter().cloned().collect();
-                reduce::merge_posix_records(&owned)
-            }
-        })
-        .collect();
-    let merged_stdio: Vec<StdioRecord> = stdio
-        .into_values()
-        .filter_map(|group| {
-            if group.len() == 1 {
-                Some(group[0].clone())
-            } else {
-                let owned: Vec<StdioRecord> = group.into_iter().cloned().collect();
-                reduce::merge_stdio_records(&owned)
-            }
-        })
-        .collect();
-
-    // Names: the union across ranks (identical Arc reused for one rank, so
-    // the single-rank job path shares rather than copies).
-    let names = if sessions.len() == 1 {
-        sessions[0].diff.names.clone()
-    } else {
-        let mut union: HashMap<u64, String> = HashMap::new();
-        for s in sessions {
-            for (id, name) in s.diff.names.iter() {
-                union.entry(*id).or_insert_with(|| name.clone());
-            }
-        }
-        Arc::new(union)
-    };
-
-    let window = (
-        sessions
-            .iter()
-            .map(|s| s.diff.window.0)
-            .fold(f64::INFINITY, f64::min),
-        sessions
-            .iter()
-            .map(|s| s.diff.window.1)
-            .fold(f64::NEG_INFINITY, f64::max),
-    );
-    let job_diff = SnapshotDiff {
-        window,
-        posix: merged_posix,
-        stdio: merged_stdio,
-        names,
-        partial: sessions.iter().any(|s| s.diff.partial),
-    };
-
-    // Job DXT: every rank's segments on one timeline. A single rank's
-    // session order is preserved as-is (byte-identity with the
-    // single-process path); multiple ranks interleave by completion time.
-    let mut job_dxt: Vec<(u64, DxtSegment)> = Vec::new();
-    for s in sessions {
-        job_dxt.extend(s.dxt.iter().copied());
-    }
-    if sessions.len() > 1 {
-        job_dxt.sort_by(|a, b| {
-            a.1.end
-                .total_cmp(&b.1.end)
-                .then(a.1.start.total_cmp(&b.1.start))
-                .then(a.1.rank.cmp(&b.1.rank))
-        });
-    }
-
-    let (io, stdio) = analyze(&job_diff, &job_dxt);
-    let job = TfDarshanReport {
-        window: job_diff.window,
-        io,
-        stdio,
-        files: per_file(&job_diff),
-        sanitizer: None,
-        scheduler: None,
-        explore: None,
-    };
-    JobReport {
-        world_size,
-        missing_ranks: missing_ranks_of(sessions, world_size),
-        job,
-        per_rank: sessions.iter().map(|s| s.report()).collect(),
-    }
 }
 
 /// Default ranks per probe-bus shard: one shard per "node" of a typical
@@ -487,7 +358,7 @@ impl JobCtx {
 
     /// Extract every rank's session and reduce to the job view. `None`
     /// until a start/stop pair exists on every rank. Runs the log-depth
-    /// tree reduction (byte-identical to [`reduce_job_sessions`]).
+    /// tree reduction ([`crate::job_tree::reduce_job_sessions_tree`]).
     pub fn collect(&self) -> Option<JobReport> {
         let sessions: Vec<RankSession> = self.ranks.iter().filter_map(|r| r.session()).collect();
         if sessions.len() != self.ranks.len() {

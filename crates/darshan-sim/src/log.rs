@@ -65,6 +65,8 @@ pub enum LogError {
     Truncated,
     /// Non-UTF-8 name record.
     BadName,
+    /// DXT segment op byte other than 0 (read) or 1 (write).
+    BadDxtOp(u8),
 }
 
 impl std::fmt::Display for LogError {
@@ -74,6 +76,7 @@ impl std::fmt::Display for LogError {
             LogError::BadVersion(v) => write!(f, "unsupported log version {v}"),
             LogError::Truncated => write!(f, "log truncated or corrupt"),
             LogError::BadName => write!(f, "malformed name record"),
+            LogError::BadDxtOp(op) => write!(f, "unknown DXT op byte {op}"),
         }
     }
 }
@@ -161,6 +164,17 @@ impl DarshanLog {
         if version != VERSION {
             return Err(LogError::BadVersion(version));
         }
+        // Preallocate `count` items of at least `item` encoded bytes each,
+        // but never more than the rest of the input can hold: counts come
+        // from the input, and a hostile one must not abort the process.
+        fn capacity(data: &[u8], count: usize, item: usize) -> usize {
+            count.min(data.remaining() / item)
+        }
+        const NAME_MIN: usize = 8 + 4;
+        const POSIX_SIZE: usize = 8 + 8 * (PosixCounter::COUNT + PosixFCounter::COUNT);
+        const STDIO_SIZE: usize = 8 + 8 * (StdioCounter::COUNT + StdioFCounter::COUNT);
+        const DXT_FILE_MIN: usize = 8 + 4;
+        const SEGMENT_SIZE: usize = 1 + 4 + 16 + 16;
         need(data, 20)?;
         let job_start = data.get_f64_le();
         let job_end = data.get_f64_le();
@@ -168,9 +182,9 @@ impl DarshanLog {
 
         need(data, 4)?;
         let n_names = data.get_u32_le() as usize;
-        let mut names = HashMap::with_capacity(n_names);
+        let mut names = HashMap::with_capacity(capacity(data, n_names, NAME_MIN));
         for _ in 0..n_names {
-            need(data, 12)?;
+            need(data, NAME_MIN)?;
             let id = data.get_u64_le();
             let len = data.get_u32_le() as usize;
             need(data, len)?;
@@ -183,9 +197,9 @@ impl DarshanLog {
         need(data, 5)?;
         let posix_partial = data.get_u8() != 0;
         let n_posix = data.get_u32_le() as usize;
-        let mut posix = Vec::with_capacity(n_posix);
+        let mut posix = Vec::with_capacity(capacity(data, n_posix, POSIX_SIZE));
         for _ in 0..n_posix {
-            need(data, 8 + 8 * (PosixCounter::COUNT + PosixFCounter::COUNT))?;
+            need(data, POSIX_SIZE)?;
             let mut r = PosixRecord::new(data.get_u64_le());
             for c in r.counters.iter_mut() {
                 *c = data.get_i64_le();
@@ -199,9 +213,9 @@ impl DarshanLog {
         need(data, 5)?;
         let stdio_partial = data.get_u8() != 0;
         let n_stdio = data.get_u32_le() as usize;
-        let mut stdio = Vec::with_capacity(n_stdio);
+        let mut stdio = Vec::with_capacity(capacity(data, n_stdio, STDIO_SIZE));
         for _ in 0..n_stdio {
-            need(data, 8 + 8 * (StdioCounter::COUNT + StdioFCounter::COUNT))?;
+            need(data, STDIO_SIZE)?;
             let mut r = StdioRecord::new(data.get_u64_le());
             for c in r.counters.iter_mut() {
                 *c = data.get_i64_le();
@@ -214,17 +228,18 @@ impl DarshanLog {
 
         need(data, 4)?;
         let n_dxt = data.get_u32_le() as usize;
-        let mut dxt = HashMap::with_capacity(n_dxt);
+        let mut dxt = HashMap::with_capacity(capacity(data, n_dxt, DXT_FILE_MIN));
         for _ in 0..n_dxt {
-            need(data, 12)?;
+            need(data, DXT_FILE_MIN)?;
             let id = data.get_u64_le();
             let nsegs = data.get_u32_le() as usize;
-            let mut segs = Vec::with_capacity(nsegs);
+            let mut segs = Vec::with_capacity(capacity(data, nsegs, SEGMENT_SIZE));
             for _ in 0..nsegs {
-                need(data, 1 + 4 + 16 + 16)?;
+                need(data, SEGMENT_SIZE)?;
                 let op = match data.get_u8() {
                     0 => DxtOp::Read,
-                    _ => DxtOp::Write,
+                    1 => DxtOp::Write,
+                    op => return Err(LogError::BadDxtOp(op)),
                 };
                 segs.push(DxtSegment {
                     op,
@@ -380,6 +395,91 @@ mod tests {
             let r = DarshanLog::decode(&bytes[..cut]);
             assert!(r.is_err(), "cut at {cut} must fail");
         }
+    }
+
+    /// A log whose header is valid and whose next count field is
+    /// `u32::MAX`, with nothing after it.
+    fn hostile_prefix(sections: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut b = BytesMut::new();
+        b.put_slice(MAGIC);
+        b.put_u32_le(VERSION);
+        b.put_f64_le(0.0);
+        b.put_f64_le(1.0);
+        b.put_u32_le(1);
+        sections(&mut b);
+        b.put_u32_le(u32::MAX);
+        b.freeze()
+    }
+
+    #[test]
+    fn hostile_name_count_is_truncated() {
+        let bytes = hostile_prefix(|_| {});
+        assert_eq!(bytes.len(), 32);
+        assert_eq!(DarshanLog::decode(&bytes).unwrap_err(), LogError::Truncated);
+    }
+
+    #[test]
+    fn hostile_posix_count_is_truncated() {
+        let bytes = hostile_prefix(|b| {
+            b.put_u32_le(0); // names
+            b.put_u8(0); // posix partial
+        });
+        assert_eq!(bytes.len(), 37);
+        assert_eq!(DarshanLog::decode(&bytes).unwrap_err(), LogError::Truncated);
+    }
+
+    #[test]
+    fn hostile_stdio_count_is_truncated() {
+        let bytes = hostile_prefix(|b| {
+            b.put_u32_le(0); // names
+            b.put_u8(0);
+            b.put_u32_le(0); // posix
+            b.put_u8(0); // stdio partial
+        });
+        assert_eq!(DarshanLog::decode(&bytes).unwrap_err(), LogError::Truncated);
+    }
+
+    #[test]
+    fn hostile_dxt_file_count_is_truncated() {
+        let bytes = hostile_prefix(|b| {
+            b.put_u32_le(0); // names
+            b.put_u8(0);
+            b.put_u32_le(0); // posix
+            b.put_u8(0);
+            b.put_u32_le(0); // stdio
+        });
+        assert_eq!(DarshanLog::decode(&bytes).unwrap_err(), LogError::Truncated);
+    }
+
+    #[test]
+    fn hostile_segment_count_is_truncated() {
+        let bytes = hostile_prefix(|b| {
+            b.put_u32_le(0); // names
+            b.put_u8(0);
+            b.put_u32_le(0); // posix
+            b.put_u8(0);
+            b.put_u32_le(0); // stdio
+            b.put_u32_le(1); // dxt files
+            b.put_u64_le(9); // rec id
+        });
+        assert_eq!(DarshanLog::decode(&bytes).unwrap_err(), LogError::Truncated);
+    }
+
+    #[test]
+    fn unknown_dxt_op_is_rejected() {
+        let mut bytes = sample_log().encode().to_vec();
+        // The only DXT file holds two segments and ends the log; the
+        // first segment's op byte sits two segments from the end.
+        let first_op = bytes.len() - 2 * 37;
+        assert_eq!(bytes[first_op], 0, "read op");
+        bytes[first_op] = 2;
+        assert_eq!(
+            DarshanLog::decode(&bytes).unwrap_err(),
+            LogError::BadDxtOp(2)
+        );
+        bytes[first_op] = 1;
+        let back = DarshanLog::decode(&bytes).unwrap();
+        assert_eq!(back.dxt[&record_id("/d/a")][0].op, DxtOp::Write);
     }
 
     #[test]

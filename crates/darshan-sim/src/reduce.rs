@@ -3,8 +3,28 @@
 //! single job-level record (counters sum, extrema min/max), so the log
 //! stays compact regardless of the process count (paper §III: "The
 //! parallel version of Darshan uses the PMPI profiling interface…").
+//!
+//! The operator is pairwise. [`PosixFold`] and [`StdioFold`] hold a
+//! partially reduced group of one file's records; [`fold_group`] merges a
+//! higher-rank contributor into it. A flat job reduction ([`reduce_job`])
+//! is the one-level case, a rank-ordered left fold; `tfdarshan`'s
+//! log-depth job tree drives the same operator level by level.
+//!
+//! darshan-runtime's operator is a left fold in rank order, and two of its
+//! ingredients are order-sensitive: f64 cumulative-time sums are not
+//! associative, and the common-access tracker has bounded memory with
+//! order-dependent eviction. A naive pairwise merge would therefore drift
+//! from the left fold bit by bit. The folds split the operator: every
+//! *associative* field (integer sums, byte extrema, first-min-nonzero /
+//! last-max timestamps, max op times) merges pairwise, while the
+//! order-sensitive remainder — the three cumulative-time floats and the
+//! four `(access, count)` slots of each contributor — rides along as a
+//! rank-ordered deferred list that [`PosixFold::finish`] replays exactly as
+//! the left fold would have. The result is byte-identical to the left fold
+//! for every tree shape (proptested against a flat reference model in
+//! `tests/proptests_extensions.rs`).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::counters::{PosixCounter as P, PosixFCounter as PF, PosixRecord};
 use crate::counters::{StdioCounter as S, StdioFCounter as SF, StdioRecord};
@@ -14,167 +34,6 @@ const MAX_COUNTERS: &[P] = &[P::POSIX_MAX_BYTE_READ, P::POSIX_MAX_BYTE_WRITTEN];
 
 /// STDIO counters that reduce with `max` instead of `+`.
 const STDIO_MAX_COUNTERS: &[S] = &[S::STDIO_MAX_BYTE_READ, S::STDIO_MAX_BYTE_WRITTEN];
-
-/// Merge per-rank records of the **same file** into one shared record.
-///
-/// Semantics follow darshan-runtime's POSIX reduction operator: additive
-/// counters sum; byte extrema take the max; the common-access slots are
-/// re-derived from the per-rank slots; first timestamps take the earliest
-/// non-zero value, last timestamps the latest; cumulative times sum.
-pub fn merge_posix_records(records: &[PosixRecord]) -> Option<PosixRecord> {
-    let first = records.first()?;
-    debug_assert!(records.iter().all(|r| r.rec_id == first.rec_id));
-    let mut out = PosixRecord::new(first.rec_id);
-
-    for r in records {
-        for c in P::ALL {
-            let i = c as usize;
-            if MAX_COUNTERS.contains(&c) {
-                out.counters[i] = out.counters[i].max(r.counters[i]);
-            } else if !is_access_slot(c) {
-                out.counters[i] += r.counters[i];
-            }
-        }
-        // Re-accumulate common access sizes from the per-rank top-4 slots.
-        for (a, cnt) in [
-            (P::POSIX_ACCESS1_ACCESS, P::POSIX_ACCESS1_COUNT),
-            (P::POSIX_ACCESS2_ACCESS, P::POSIX_ACCESS2_COUNT),
-            (P::POSIX_ACCESS3_ACCESS, P::POSIX_ACCESS3_COUNT),
-            (P::POSIX_ACCESS4_ACCESS, P::POSIX_ACCESS4_COUNT),
-        ] {
-            let count = r.get(cnt);
-            if count > 0 {
-                for _ in 0..count {
-                    out.access_sizes.add(r.get(a) as u64);
-                }
-            }
-        }
-        // Timestamps: first-start = min nonzero, last-end = max; times sum.
-        for (start, end) in [
-            (
-                PF::POSIX_F_OPEN_START_TIMESTAMP,
-                PF::POSIX_F_OPEN_END_TIMESTAMP,
-            ),
-            (
-                PF::POSIX_F_READ_START_TIMESTAMP,
-                PF::POSIX_F_READ_END_TIMESTAMP,
-            ),
-            (
-                PF::POSIX_F_WRITE_START_TIMESTAMP,
-                PF::POSIX_F_WRITE_END_TIMESTAMP,
-            ),
-            (
-                PF::POSIX_F_CLOSE_START_TIMESTAMP,
-                PF::POSIX_F_CLOSE_END_TIMESTAMP,
-            ),
-        ] {
-            let s = r.fget(start);
-            if s > 0.0 {
-                let cur = out.fget(start);
-                *out.fget_mut(start) = if cur == 0.0 { s } else { cur.min(s) };
-            }
-            let e = r.fget(end);
-            *out.fget_mut(end) = out.fget(end).max(e);
-        }
-        for t in [
-            PF::POSIX_F_READ_TIME,
-            PF::POSIX_F_WRITE_TIME,
-            PF::POSIX_F_META_TIME,
-        ] {
-            *out.fget_mut(t) += r.fget(t);
-        }
-        for t in [PF::POSIX_F_MAX_READ_TIME, PF::POSIX_F_MAX_WRITE_TIME] {
-            *out.fget_mut(t) = out.fget(t).max(r.fget(t));
-        }
-    }
-    out.reduce_common_accesses();
-    Some(out)
-}
-
-/// Merge per-rank STDIO records of the same file into one shared record.
-///
-/// Same operator shape as [`merge_posix_records`]: additive counters sum,
-/// byte extrema take the max, open/close start timestamps take the earliest
-/// non-zero value, end timestamps the latest, cumulative times sum.
-pub fn merge_stdio_records(records: &[StdioRecord]) -> Option<StdioRecord> {
-    let first = records.first()?;
-    debug_assert!(records.iter().all(|r| r.rec_id == first.rec_id));
-    let mut out = StdioRecord::new(first.rec_id);
-
-    for r in records {
-        for c in S::ALL {
-            let i = c as usize;
-            if STDIO_MAX_COUNTERS.contains(&c) {
-                out.counters[i] = out.counters[i].max(r.counters[i]);
-            } else {
-                out.counters[i] += r.counters[i];
-            }
-        }
-        for (start, end) in [
-            (
-                SF::STDIO_F_OPEN_START_TIMESTAMP,
-                SF::STDIO_F_OPEN_END_TIMESTAMP,
-            ),
-            (
-                SF::STDIO_F_CLOSE_START_TIMESTAMP,
-                SF::STDIO_F_CLOSE_END_TIMESTAMP,
-            ),
-        ] {
-            let s = r.fget(start);
-            if s > 0.0 {
-                let cur = out.fget(start);
-                *out.fget_mut(start) = if cur == 0.0 { s } else { cur.min(s) };
-            }
-            let e = r.fget(end);
-            *out.fget_mut(end) = out.fget(end).max(e);
-        }
-        for t in [
-            SF::STDIO_F_READ_TIME,
-            SF::STDIO_F_WRITE_TIME,
-            SF::STDIO_F_META_TIME,
-        ] {
-            *out.fget_mut(t) += r.fget(t);
-        }
-    }
-    Some(out)
-}
-
-/// STDIO counterpart of [`reduce_job`].
-pub fn reduce_job_stdio<R: std::borrow::Borrow<StdioRecord>>(
-    per_rank: &[Vec<R>],
-) -> Vec<StdioRecord> {
-    let mut by_id: HashMap<u64, Vec<StdioRecord>> = HashMap::new();
-    for rank in per_rank {
-        for r in rank {
-            let r = r.borrow();
-            by_id.entry(r.rec_id).or_default().push(r.clone());
-        }
-    }
-    let mut out: Vec<StdioRecord> = by_id
-        .into_values()
-        .filter_map(|v| merge_stdio_records(&v))
-        .collect();
-    out.sort_by_key(|r| r.rec_id);
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Pairwise (tree) reduction operators.
-//
-// `merge_posix_records` is a *left fold* in rank order, and two of its
-// ingredients are order-sensitive: f64 cumulative-time sums are not
-// associative, and the common-access tracker has bounded memory with
-// order-dependent eviction. A naive pairwise merge up a reduction tree
-// would therefore drift from the flat fold bit-by-bit. The fold types
-// below split the operator: every *associative* field (integer sums, byte
-// extrema, first-min-nonzero/last-max timestamps, max op times) merges
-// pairwise up the tree, while the order-sensitive remainder — the three
-// cumulative-time floats and the four `(access, count)` slots of each
-// contributor — rides along as a rank-ordered deferred list that the root
-// replays exactly as the flat fold would have. The result is byte-identical
-// to `merge_posix_records` for every tree shape (proptested in
-// `tests/proptests_extensions.rs`).
-// ---------------------------------------------------------------------------
 
 /// The order-sensitive slice of one POSIX contributor: its common-access
 /// slots (replayed into the tracker in rank order at the root) and its
@@ -219,8 +78,7 @@ impl PosixDeferred {
 
 /// A partially reduced POSIX record group, mergeable pairwise up a
 /// reduction tree. `One` is a group a single rank contributed to so far —
-/// kept verbatim so a rank-private file passes through unchanged, exactly
-/// like the flat path's single-record group.
+/// kept verbatim so a rank-private file passes through unchanged.
 #[derive(Clone, Debug)]
 pub enum PosixFold {
     /// Exactly one contributor; passes through unchanged if it stays alone.
@@ -236,11 +94,11 @@ pub enum PosixFold {
     },
 }
 
-/// Fold the associative slice of `r` into `out` — the exact statements of
-/// [`merge_posix_records`] minus the access slots and the cumulative-time
-/// sums. Also correct for folding one *partial* into another: every field
-/// it touches holds the same kind of partial value (a sum, a max, a
-/// min-nonzero) in a record and in a partial.
+/// Fold the associative slice of `r` into `out`: every field except the
+/// access slots and the cumulative-time sums. Also correct for folding
+/// one *partial* into another: every field it touches holds the same kind
+/// of partial value (a sum, a max, a min-nonzero) in a record and in a
+/// partial.
 fn fold_posix_assoc(out: &mut PosixRecord, r: &PosixRecord) {
     for c in P::ALL {
         let i = c as usize;
@@ -318,7 +176,7 @@ impl PosixFold {
 
     /// Finish the group at the tree root. A lone contributor passes
     /// through unchanged; otherwise the deferred order-sensitive fields
-    /// are replayed in rank order, reproducing the flat fold bit-for-bit.
+    /// are replayed in rank order, reproducing the left fold bit-for-bit.
     pub fn finish(self) -> PosixRecord {
         match self {
             PosixFold::One(r) => r,
@@ -474,24 +332,44 @@ fn is_access_slot(c: P) -> bool {
     )
 }
 
-/// Reduce full per-rank record sets into the job view: records of files
-/// touched by several ranks merge; rank-private files pass through.
-/// Generic over owned records and the `Arc`-shared records that
-/// incremental snapshots hand out.
-pub fn reduce_job<R: std::borrow::Borrow<PosixRecord>>(per_rank: &[Vec<R>]) -> Vec<PosixRecord> {
-    let mut by_id: HashMap<u64, Vec<PosixRecord>> = HashMap::new();
-    for rank in per_rank {
-        for r in rank {
-            let r = r.borrow();
-            by_id.entry(r.rec_id).or_default().push(r.clone());
+/// Fold `right` (a higher-rank contributor) into the group for record
+/// `id`: the first contributor opens the group, later ones merge into it
+/// with `absorb`. Returns whether a pairwise merge happened.
+pub fn fold_group<F>(
+    groups: &mut BTreeMap<u64, F>,
+    id: u64,
+    right: F,
+    absorb: fn(F, F) -> F,
+) -> bool {
+    match groups.remove(&id) {
+        None => {
+            groups.insert(id, right);
+            false
+        }
+        Some(left) => {
+            groups.insert(id, absorb(left, right));
+            true
         }
     }
-    let mut out: Vec<PosixRecord> = by_id
-        .into_values()
-        .filter_map(|v| merge_posix_records(&v))
-        .collect();
-    out.sort_by_key(|r| r.rec_id);
-    out
+}
+
+/// Reduce full per-rank record sets into the job view, sorted by record
+/// id: a rank-ordered left fold of [`PosixFold`] per record id, so records
+/// of files touched by several ranks merge and rank-private files pass
+/// through unchanged. Generic over owned records and the `Arc`-shared
+/// records that incremental snapshots hand out.
+pub fn reduce_job<R: std::borrow::Borrow<PosixRecord>>(per_rank: &[Vec<R>]) -> Vec<PosixRecord> {
+    let mut groups = BTreeMap::new();
+    for r in per_rank.iter().flatten() {
+        let r = r.borrow();
+        fold_group(
+            &mut groups,
+            r.rec_id,
+            PosixFold::leaf(r.clone()),
+            PosixFold::absorb,
+        );
+    }
+    groups.into_values().map(PosixFold::finish).collect()
 }
 
 #[cfg(test)]
@@ -513,11 +391,9 @@ mod tests {
 
     #[test]
     fn merge_sums_and_extremizes() {
-        let merged = merge_posix_records(&[
-            rec(9, 10, 1_000, 999, 1.0, 2.0),
-            rec(9, 5, 500, 5_000, 0.5, 3.0),
-        ])
-        .unwrap();
+        let merged = PosixFold::leaf(rec(9, 10, 1_000, 999, 1.0, 2.0))
+            .absorb(PosixFold::leaf(rec(9, 5, 500, 5_000, 0.5, 3.0)))
+            .finish();
         assert_eq!(merged.get(P::POSIX_READS), 15);
         assert_eq!(merged.get(P::POSIX_BYTES_READ), 1_500);
         assert_eq!(merged.get(P::POSIX_MAX_BYTE_READ), 5_000);
@@ -527,11 +403,6 @@ mod tests {
         // Common access slots re-reduced: 15 × 4096.
         assert_eq!(merged.get(P::POSIX_ACCESS1_ACCESS), 4096);
         assert_eq!(merged.get(P::POSIX_ACCESS1_COUNT), 15);
-    }
-
-    #[test]
-    fn merge_empty_is_none() {
-        assert!(merge_posix_records(&[]).is_none());
     }
 
     #[test]
@@ -545,13 +416,14 @@ mod tests {
             *r.fget_mut(SF::STDIO_F_WRITE_TIME) = 0.25;
             r
         };
-        let merged = merge_stdio_records(&[mk(4, 100, 1.5, 2.0), mk(6, 900, 0.5, 5.0)]).unwrap();
+        let merged = StdioFold::leaf(mk(4, 100, 1.5, 2.0))
+            .absorb(StdioFold::leaf(mk(6, 900, 0.5, 5.0)))
+            .finish();
         assert_eq!(merged.get(S::STDIO_WRITES), 10);
         assert_eq!(merged.get(S::STDIO_MAX_BYTE_WRITTEN), 900);
         assert_eq!(merged.fget(SF::STDIO_F_OPEN_START_TIMESTAMP), 0.5);
         assert_eq!(merged.fget(SF::STDIO_F_CLOSE_END_TIMESTAMP), 5.0);
         assert!((merged.fget(SF::STDIO_F_WRITE_TIME) - 0.5).abs() < 1e-12);
-        assert!(merge_stdio_records(&[]).is_none());
     }
 
     #[test]

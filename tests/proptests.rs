@@ -370,6 +370,73 @@ proptest! {
     }
 }
 
+/// A valid encoded log with records in every section, DXT included.
+fn valid_log_bytes(records: Vec<PosixRecord>, segs: usize) -> Vec<u8> {
+    let seg = |i: usize| tf_darshan::darshan::DxtSegment {
+        op: if i.is_multiple_of(2) {
+            DxtOp::Read
+        } else {
+            DxtOp::Write
+        },
+        offset: i as u64 * 4096,
+        length: 4096,
+        start: i as f64,
+        end: i as f64 + 0.5,
+        rank: i as u32,
+    };
+    let log = DarshanLog {
+        job_start: 0.0,
+        job_end: 9.0,
+        nprocs: 2,
+        names: records
+            .iter()
+            .map(|r| (r.rec_id, format!("/d/{}", r.rec_id)))
+            .collect(),
+        dxt: records
+            .iter()
+            .map(|r| (r.rec_id, (0..segs).map(seg).collect()))
+            .collect(),
+        posix: records,
+        posix_partial: false,
+        stdio: vec![StdioRecord::new(7)],
+        stdio_partial: false,
+    };
+    log.encode().to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The parser reads files from disk, so hostile bytes must come back
+    /// as `Ok` or `Err`, never as a panic or an abort: arbitrary bytes,
+    /// arbitrary bytes behind a valid header, and valid encodings cut
+    /// short or with one byte flipped.
+    #[test]
+    fn log_decode_survives_hostile_input(
+        junk in prop::collection::vec(any::<u8>(), 0..512),
+        records in prop::collection::vec(arb_posix_record(), 0..4),
+        segs in 0usize..4,
+        cut in any::<usize>(),
+        flip in any::<usize>(),
+        mask in 1u8..255,
+    ) {
+        let _ = DarshanLog::decode(&junk);
+        let mut headed = b"DSIM".to_vec();
+        headed.extend_from_slice(&2u32.to_le_bytes());
+        headed.extend_from_slice(&junk);
+        let _ = DarshanLog::decode(&headed);
+
+        let valid = valid_log_bytes(records, segs);
+        prop_assert!(DarshanLog::decode(&valid).is_ok());
+        let cut = cut % valid.len();
+        prop_assert!(DarshanLog::decode(&valid[..cut]).is_err(), "cut at {}", cut);
+        let mut flipped = valid;
+        let at = flip % flipped.len();
+        flipped[at] ^= mask;
+        let _ = DarshanLog::decode(&flipped);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // stdio buffering ≡ direct POSIX, for any write pattern
 // ---------------------------------------------------------------------------

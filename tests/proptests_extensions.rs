@@ -6,10 +6,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use tf_darshan::darshan::{
-    merge_posix_records, reduce_job, DxtOp, DxtSegment, PosixCounter as P, PosixRecord,
-};
-use tf_darshan::tfdarshan::{reduce_job_sessions, RankSession, SnapshotDiff};
+use tf_darshan::darshan::{reduce_job, DxtOp, DxtSegment, PosixCounter as P, PosixRecord};
+use tf_darshan::tfdarshan::{JobReport, RankSession, SnapshotDiff};
+
+#[path = "support/flat_reduce.rs"]
+mod flat_reduce;
 
 fn arb_record(id: u64) -> impl Strategy<Value = PosixRecord> {
     (0i64..1000, 0i64..1_000_000, 0i64..1_000_000, 0i64..100).prop_map(
@@ -35,15 +36,20 @@ proptest! {
         recs in prop::collection::vec(arb_record(42), 2..8),
         split in 1usize..7,
     ) {
+        // Each record is one rank's view of the same file.
+        let merge = |recs: &[PosixRecord]| {
+            let per_rank: Vec<Vec<&PosixRecord>> = recs.iter().map(|r| vec![r]).collect();
+            reduce_job(&per_rank).pop().unwrap()
+        };
         let split = split.min(recs.len() - 1);
-        let all_at_once = merge_posix_records(&recs).unwrap();
+        let all_at_once = merge(&recs);
         // Merge in two groups, then merge the merged pair.
-        let left = merge_posix_records(&recs[..split]).unwrap();
-        let right = merge_posix_records(&recs[split..]).unwrap();
-        let grouped = merge_posix_records(&[left, right]).unwrap();
+        let left = merge(&recs[..split]);
+        let right = merge(&recs[split..]);
+        let grouped = merge(&[left, right]);
         let mut rev = recs.clone();
         rev.reverse();
-        let reversed = merge_posix_records(&rev).unwrap();
+        let reversed = merge(&rev);
         for c in [
             P::POSIX_OPENS,
             P::POSIX_READS,
@@ -366,6 +372,17 @@ fn session_of(rank: u32, recs: Vec<PosixRecord>, dxt: Vec<(u64, DxtSegment)>) ->
     }
 }
 
+/// The production job reduction over a complete job (one session per
+/// rank, so the world size is the session count).
+fn reduce_sessions(sessions: &[RankSession]) -> JobReport {
+    reduce_job_sessions_tree(
+        sessions,
+        sessions.len() as u32,
+        &TreeReduceConfig::default(),
+    )
+    .0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -387,7 +404,7 @@ proptest! {
             .collect();
         let session = session_of(0, recs, dxt);
         let single = session.report();
-        let job = reduce_job_sessions(&[session]);
+        let job = reduce_sessions(&[session]);
         prop_assert_eq!(job.world_size, 1);
         prop_assert_eq!(&job.job.to_json(), &single.to_json());
         prop_assert_eq!(&job.per_rank[0].to_json(), &single.to_json());
@@ -419,7 +436,7 @@ proptest! {
                 session_of(r as u32, recs, Vec::new())
             })
             .collect();
-        let job = reduce_job_sessions(&sessions);
+        let job = reduce_sessions(&sessions);
         prop_assert_eq!(job.world_size as usize, sessions.len());
 
         let row = job
@@ -462,11 +479,12 @@ proptest! {
 // Tree reduction (PR 10): log-depth reduce ≡ flat reduce, byte for byte
 // ---------------------------------------------------------------------------
 
-use tf_darshan::darshan::reduce::PosixFold;
-use tf_darshan::darshan::PosixFCounter as FP;
-use tf_darshan::tfdarshan::{
-    reduce_job_sessions_sized, reduce_job_sessions_tree, TreeReduceConfig,
+use flat_reduce::{merge_posix_records, merge_stdio_records, reduce_job_sessions_sized};
+use tf_darshan::darshan::reduce::{PosixFold, StdioFold};
+use tf_darshan::darshan::{
+    PosixFCounter as FP, StdioCounter as S, StdioFCounter as SF, StdioRecord,
 };
+use tf_darshan::tfdarshan::{reduce_job_sessions_tree, spawn_tree_reduce, TreeReduceConfig};
 
 /// A record exercising every field class the reduction touches: additive
 /// counters, byte extrema, the four common-access slots (the bounded
@@ -516,6 +534,34 @@ fn arb_fleet_record(id: u64) -> impl Strategy<Value = PosixRecord> {
         )
 }
 
+/// A STDIO record exercising every field class of its reduction: additive
+/// counters, byte extrema, open/close timestamp pairs, and the
+/// order-sensitive cumulative time floats.
+fn arb_stdio_record(id: u64) -> impl Strategy<Value = StdioRecord> {
+    (
+        (1i64..1000, 0i64..1000, 0i64..1_000_000, 0i64..1_000_000),
+        (0.001f64..100.0, 0.0f64..2.0, 0.0f64..2.0, 0.0f64..2.0),
+    )
+        .prop_map(
+            move |((opens, writes, bytes, max_byte), (t0, rt, wt, mt))| {
+                let mut r = StdioRecord::new(id);
+                *r.get_mut(S::STDIO_OPENS) = opens;
+                *r.get_mut(S::STDIO_WRITES) = writes;
+                *r.get_mut(S::STDIO_BYTES_WRITTEN) = bytes;
+                *r.get_mut(S::STDIO_MAX_BYTE_WRITTEN) = max_byte;
+                *r.get_mut(S::STDIO_MAX_BYTE_READ) = max_byte / 3;
+                *r.fget_mut(SF::STDIO_F_OPEN_START_TIMESTAMP) = t0;
+                *r.fget_mut(SF::STDIO_F_OPEN_END_TIMESTAMP) = t0 + 0.001;
+                *r.fget_mut(SF::STDIO_F_CLOSE_START_TIMESTAMP) = t0 + 0.5;
+                *r.fget_mut(SF::STDIO_F_CLOSE_END_TIMESTAMP) = t0 + 0.5 + wt;
+                *r.fget_mut(SF::STDIO_F_READ_TIME) = rt;
+                *r.fget_mut(SF::STDIO_F_WRITE_TIME) = wt;
+                *r.fget_mut(SF::STDIO_F_META_TIME) = mt;
+                r
+            },
+        )
+}
+
 /// Fold `recs` up a balanced binary tree with the pairwise operators.
 fn tree_fold(recs: &[PosixRecord]) -> PosixRecord {
     fn build(recs: &[PosixRecord]) -> PosixFold {
@@ -529,16 +575,31 @@ fn tree_fold(recs: &[PosixRecord]) -> PosixRecord {
     build(recs).finish()
 }
 
+/// [`tree_fold`] for STDIO records.
+fn tree_fold_stdio(recs: &[StdioRecord]) -> StdioRecord {
+    fn build(recs: &[StdioRecord]) -> StdioFold {
+        if recs.len() == 1 {
+            StdioFold::leaf(recs[0].clone())
+        } else {
+            let mid = recs.len() / 2;
+            build(&recs[..mid]).absorb(build(&recs[mid..]))
+        }
+    }
+    build(recs).finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The pairwise fold operators reproduce the flat group merge byte
-    /// for byte — every integer counter equal, every float counter
-    /// *bitwise* equal (the cumulative-time sums are replayed in rank
-    /// order at the root, so even f64 non-associativity cannot show).
+    /// for byte, for POSIX and STDIO records — every integer counter
+    /// equal, every float counter *bitwise* equal (the cumulative-time
+    /// sums are replayed in rank order at the root, so even f64
+    /// non-associativity cannot show).
     #[test]
     fn pairwise_fold_equals_flat_merge_bitwise(
         recs in prop::collection::vec(arb_fleet_record(42), 1..9),
+        stdio_recs in prop::collection::vec(arb_stdio_record(43), 1..9),
     ) {
         let flat = merge_posix_records(&recs).unwrap();
         let tree = tree_fold(&recs);
@@ -546,6 +607,22 @@ proptest! {
             prop_assert_eq!(flat.get(c), tree.get(c), "{} diverged", c.name());
         }
         for c in FP::ALL {
+            prop_assert_eq!(
+                flat.fget(c).to_bits(),
+                tree.fget(c).to_bits(),
+                "{} diverged: {} vs {}",
+                c.name(),
+                flat.fget(c),
+                tree.fget(c)
+            );
+        }
+
+        let flat = merge_stdio_records(&stdio_recs).unwrap();
+        let tree = tree_fold_stdio(&stdio_recs);
+        for c in S::ALL {
+            prop_assert_eq!(flat.get(c), tree.get(c), "{} diverged", c.name());
+        }
+        for c in SF::ALL {
             prop_assert_eq!(
                 flat.fget(c).to_bits(),
                 tree.fget(c).to_bits(),
@@ -600,7 +677,7 @@ proptest! {
         let (tree, stats) = reduce_job_sessions_tree(
             &sessions,
             ws as u32,
-            &TreeReduceConfig { arity, host_parallel: true },
+            &TreeReduceConfig { arity },
         );
         prop_assert_eq!(
             serde_json::to_string(&flat).unwrap(),
@@ -648,5 +725,100 @@ proptest! {
             serde_json::to_string(&flat).unwrap(),
             serde_json::to_string(&tree).unwrap()
         );
+    }
+}
+
+/// Rank `r`'s session for the driver-agreement test: a POSIX and a STDIO
+/// record every rank shares, private records on some ranks, and
+/// rank-tagged DXT segments with rank-dependent timing.
+fn driver_session(r: u32) -> RankSession {
+    let rf = r as f64;
+    let mut shared = PosixRecord::new(42);
+    *shared.get_mut(P::POSIX_READS) = 10 + r as i64;
+    *shared.get_mut(P::POSIX_BYTES_READ) = 4096 * (10 + r as i64);
+    *shared.get_mut(P::POSIX_MAX_BYTE_READ) = 1000 * r as i64;
+    *shared.get_mut(P::POSIX_ACCESS1_ACCESS) = 4096 << (r % 5);
+    *shared.get_mut(P::POSIX_ACCESS1_COUNT) = 10 + r as i64;
+    *shared.fget_mut(FP::POSIX_F_READ_START_TIMESTAMP) = 0.1 + 0.01 * rf;
+    *shared.fget_mut(FP::POSIX_F_READ_END_TIMESTAMP) = 1.0 + 0.013 * rf;
+    *shared.fget_mut(FP::POSIX_F_READ_TIME) = 0.3 + 0.017 * rf;
+    let mut posix = vec![shared];
+    if r % 2 == 1 {
+        let mut private = PosixRecord::new(1000 + r as u64);
+        *private.get_mut(P::POSIX_READS) = 3;
+        *private.get_mut(P::POSIX_BYTES_READ) = 3 * 512;
+        posix.push(private);
+    }
+    let mut ckpt = StdioRecord::new(7);
+    *ckpt.get_mut(S::STDIO_WRITES) = 5 + r as i64;
+    *ckpt.get_mut(S::STDIO_BYTES_WRITTEN) = 1 << 20;
+    *ckpt.get_mut(S::STDIO_MAX_BYTE_WRITTEN) = (r as i64 + 1) << 20;
+    *ckpt.fget_mut(SF::STDIO_F_OPEN_START_TIMESTAMP) = 0.2 + 0.001 * rf;
+    *ckpt.fget_mut(SF::STDIO_F_WRITE_TIME) = 0.05 + 0.007 * rf;
+    let mut stdio = vec![ckpt];
+    if r.is_multiple_of(3) {
+        let mut log = StdioRecord::new(2000 + r as u64);
+        *log.get_mut(S::STDIO_WRITES) = 1;
+        stdio.insert(0, log);
+        stdio.sort_by_key(|x| x.rec_id);
+    }
+    let names = posix
+        .iter()
+        .map(|x| x.rec_id)
+        .chain(stdio.iter().map(|x| x.rec_id))
+        .map(|id| (id, format!("/data/rec{id}")))
+        .collect();
+    let dxt = (0..3u64)
+        .map(|i| {
+            let start = 0.1 * i as f64 + 0.003 * ((r * 7) % 11) as f64;
+            let seg = DxtSegment {
+                op: DxtOp::Read,
+                offset: i * 4096,
+                length: 4096,
+                start,
+                end: start + 0.02,
+                rank: r,
+            };
+            (42, seg)
+        })
+        .collect();
+    RankSession {
+        rank: r,
+        diff: SnapshotDiff {
+            window: (0.01 * rf, 2.0 + 0.01 * rf),
+            posix,
+            stdio,
+            names: Arc::new(names),
+            partial: false,
+        },
+        dxt,
+    }
+}
+
+/// Both tree drivers run one stepper, so they agree: the event task on a
+/// `Sim` yields the host driver's serialized report and its stats
+/// (leaves, levels, pair merges, modeled and flat cost) for every world
+/// size 1..=64 and arity 2..=4, and charges exactly the modeled time.
+#[test]
+fn tree_drivers_agree() {
+    for ws in 1..=64u32 {
+        for arity in 2..=4 {
+            let sessions = || (0..ws).map(driver_session).collect::<Vec<_>>();
+            let config = TreeReduceConfig { arity };
+            let (host, host_stats) = reduce_job_sessions_tree(&sessions(), ws, &config);
+
+            let sim = simrt::Sim::new();
+            let t0 = sim.now();
+            let handle = spawn_tree_reduce(&sim, sessions(), ws, config);
+            sim.run();
+            let (event, event_stats) = handle.take().expect("reduce task completed");
+            assert_eq!(
+                serde_json::to_string(&host).unwrap(),
+                serde_json::to_string(&event).unwrap(),
+                "reports diverged at ws={ws} arity={arity}"
+            );
+            assert_eq!(host_stats, event_stats, "ws={ws} arity={arity}");
+            assert_eq!(sim.now().duration_since(t0), event_stats.modeled);
+        }
     }
 }
