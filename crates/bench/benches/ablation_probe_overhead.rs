@@ -6,7 +6,10 @@
 //!
 //! * with no sinks registered the fast path is a single relaxed atomic
 //!   load (emission is skipped entirely);
-//! * the per-event cost must not grow linearly with the sink count.
+//! * the per-event cost must not grow linearly with the sink count;
+//! * nor with the number of buses one carrier thread emits on: the
+//!   fleet-shape row visits 128 processes in turn from one carrier, like a
+//!   `fleet_serve` node carrier driving its ranks.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,21 +26,28 @@ fn smoke() -> bool {
     std::env::args().any(|a| a == "--smoke")
 }
 
+/// A 1 MiB synthetic file `/d/f` on an Optane device behind a 1 GiB page
+/// cache: every read is a cache hit after the first pass, so the spine, not
+/// the storage model, dominates.
+fn one_file_stack() -> StorageStack {
+    let fs = LocalFs::new(
+        Device::new(DeviceSpec::optane("nvme0")),
+        Arc::new(PageCache::new(1 << 30)),
+        LocalFsParams::default(),
+    );
+    let stack = StorageStack::new();
+    stack.mount("/d", fs.clone() as Arc<dyn FileSystem>);
+    fs.create_synthetic("/d/f", 1 << 20, 1).unwrap();
+    stack
+}
+
 /// Host nanoseconds per instrumented `pread` with `sinks` sinks registered:
 /// one measured run. Callers interleave runs across sink counts and keep
 /// the per-config minimum, so a noisy scheduling window on a shared runner
 /// cannot contaminate every sample of one configuration.
 fn run_once(ops: u64, sinks: usize) -> f64 {
     {
-        let fs = LocalFs::new(
-            Device::new(DeviceSpec::optane("nvme0")),
-            Arc::new(PageCache::new(1 << 30)),
-            LocalFsParams::default(),
-        );
-        let stack = StorageStack::new();
-        stack.mount("/d", fs.clone() as Arc<dyn FileSystem>);
-        fs.create_synthetic("/d/f", 1 << 20, 1).unwrap();
-        let p = Process::new(stack);
+        let p = Process::new(one_file_stack());
         let hooks: Vec<Arc<CountingSink>> = (0..sinks)
             .map(|_| {
                 let s = Arc::new(CountingSink::new());
@@ -64,6 +74,54 @@ fn run_once(ops: u64, sinks: usize) -> f64 {
     }
 }
 
+/// Processes one carrier visits in the fleet-shape row.
+const FLEET_PROCS: usize = 128;
+/// Syscalls per process visit: open, 8 × `pread`, close.
+const OPS_PER_VISIT: u64 = 10;
+
+/// Host nanoseconds per syscall when one carrier visits [`FLEET_PROCS`]
+/// processes in turn, each visit an open → 8 × 128 B `pread` → close, with
+/// `sinks` sinks registered on every process's bus: one measured run.
+fn run_fleet_once(ops: u64, sinks: usize) -> f64 {
+    let stack = one_file_stack();
+    let procs: Vec<Arc<Process>> = (0..FLEET_PROCS)
+        .map(|_| Process::new(stack.clone()))
+        .collect();
+    let hooks: Vec<Arc<CountingSink>> = (0..sinks)
+        .map(|_| {
+            let s = Arc::new(CountingSink::new());
+            for p in &procs {
+                p.probe().register(s.clone());
+            }
+            s
+        })
+        .collect();
+    let visits = ops / OPS_PER_VISIT;
+    let sim = simrt::Sim::new();
+    // The carrier gets its own handles: the buses must outlive the task, or
+    // its final flush would find them defunct and drop their events.
+    let ps = procs.clone();
+    let t0 = Instant::now();
+    sim.spawn("carrier", move || {
+        for v in 0..visits {
+            let p = &ps[v as usize % FLEET_PROCS];
+            let fd = p.open("/d/f", OpenFlags::rdonly()).unwrap();
+            for i in 0..8 {
+                p.pread(fd, ((v * 8 + i) * 128) % (1 << 20), 128, None)
+                    .unwrap();
+            }
+            p.close(fd).unwrap();
+        }
+    });
+    sim.run();
+    let done = visits * OPS_PER_VISIT;
+    let dt = t0.elapsed().as_nanos() as f64 / done as f64;
+    for s in &hooks {
+        assert!(s.events.load(std::sync::atomic::Ordering::Relaxed) as u64 >= done);
+    }
+    dt
+}
+
 fn main() {
     bench::header(
         "Ablation",
@@ -71,12 +129,21 @@ fn main() {
     );
     let (ops, reps) = if smoke() { (50_000, 5) } else { (100_000, 4) };
     let mut best = [f64::INFINITY; 3];
+    let mut best_fleet = [f64::INFINITY; 2];
     for _ in 0..reps {
         for (slot, sinks) in [0usize, 1, 4].into_iter().enumerate() {
             best[slot] = best[slot].min(run_once(ops, sinks));
         }
+        // Four shorter samples per rep: the fleet row's two sides differ by
+        // a few tens of ns, so it needs more draws for a clean minimum.
+        for _ in 0..4 {
+            for (slot, sinks) in [0usize, 1].into_iter().enumerate() {
+                best_fleet[slot] = best_fleet[slot].min(run_fleet_once(ops / 4, sinks));
+            }
+        }
     }
     let [ns0, ns1, ns4] = best;
+    let [fleet0, fleet1] = best_fleet;
     bench::row(
         "pread, 0 sinks (spine inactive)",
         "baseline",
@@ -109,6 +176,14 @@ fn main() {
         &format!("{ns4:.0} ns/op ({:.2}× 1-sink emission)", emit4 / emit1),
         emit4 < emit1 * 3.0 || emit4 < 60.0,
     );
+    // The same budget when one carrier's events span 128 buses.
+    let fleet_spine = fleet1 - fleet0;
+    bench::row(
+        "128 procs on one carrier, 1 sink − 0 sinks",
+        "< 100 ns",
+        &format!("{fleet_spine:.0} ns/op ({fleet0:.0} → {fleet1:.0})"),
+        fleet_spine < 100.0,
+    );
     bench::save_json(
         "ablation_probe_overhead",
         &serde_json::json!({
@@ -119,6 +194,9 @@ fn main() {
             "ns_per_op_4_sinks": ns4,
             "emission_overhead_ns": spine,
             "emission_ratio_4_vs_1": emit4 / emit1,
+            "ns_per_op_128_procs_0_sinks": fleet0,
+            "ns_per_op_128_procs_1_sinks": fleet1,
+            "emission_overhead_128_procs_ns": fleet_spine,
         }),
     );
 }

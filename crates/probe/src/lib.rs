@@ -2,12 +2,15 @@
 //! syscall layer and every instrumentation consumer.
 //!
 //! The terminal libc/stdio bindings in `posix-sim` emit exactly one
-//! [`IoEvent`] per completed operation into a **per-sim-thread ring
-//! buffer** — a masked slot write, no allocation, no lock shared with any
-//! consumer. Event targets are interned [`PathId`]s (see [`intern`]), so
+//! [`IoEvent`] per completed operation into **one ring per OS thread**,
+//! shared by every bus that thread emits on — a slot append, no
+//! allocation, no lock shared with any consumer. The ring is bus-tagged:
+//! each run of consecutive same-bus slots carries the index of its bus in
+//! a table of the buses with pending events, so staying on the previous
+//! event's bus costs one pointer compare and a bus change one lookup in
+//! that table. Event targets are interned [`PathId`]s (see [`intern`]), so
 //! an event is `Copy`-cheap to construct: no `Arc` refcount traffic on
-//! the hot path. Rings are drained in batches at deterministic points
-//! only:
+//! the hot path. The ring is drained at deterministic points only:
 //!
 //! * whenever the simulated thread actually context-switches (simrt's
 //!   switch hook — fast-path virtual-time advances do *not* flush),
@@ -18,10 +21,12 @@
 //!   more than [`RING_CAPACITY`] events between switches) — the full ring
 //!   is delivered immediately so emission is lossless and memory-bounded.
 //!
-//! Because simrt runs exactly one simulated thread at any moment and every
-//! descheduling point flushes, events are delivered to sinks in op-completion
-//! order — the same order the old inline per-consumer bookkeeping observed —
-//! and all *parked* threads always have empty rings.
+//! A drain delivers the ring run-wise in emission order: each maximal run
+//! of same-bus events is one batch to that bus's sinks. Because simrt runs
+//! exactly one simulated thread at any moment and every descheduling point
+//! flushes, each bus sees its events in op-completion order, a sink
+//! registered on several buses sees them in global emission order, and all
+//! *parked* threads always have empty rings.
 //!
 //! # Sink rules
 //!
@@ -300,7 +305,7 @@ pub struct ProbeBus {
 
 impl Clone for ProbeBus {
     /// Cloning is cheap and shares the underlying spine: clones see the
-    /// same sinks and feed the same rings.
+    /// same sinks, and the ring tags their events as one bus.
     fn clone(&self) -> Self {
         self.inner.handles.fetch_add(1, Ordering::AcqRel);
         ProbeBus {
@@ -384,46 +389,31 @@ impl ProbeBus {
         *sinks = Arc::new(next);
     }
 
-    /// Append one event to the current thread's ring for this bus.
-    /// No-op when no sink is registered. If the ring is full (more than
-    /// [`RING_CAPACITY`] events since the last flush point) the whole ring
-    /// is delivered inline — lossless, bounded memory.
+    /// Append one event, tagged with this bus, to the current thread's
+    /// ring. No-op when no sink is registered. If the ring is full (more
+    /// than [`RING_CAPACITY`] events since the last flush point) the whole
+    /// ring is delivered inline — lossless, bounded memory.
     #[inline]
     pub fn emit(&self, event: IoEvent) {
         if !self.is_active() {
             return;
         }
-        let overflow = RINGS.with(|r| {
-            let mut reg = r.borrow_mut();
-            let ring = reg.ring_for(&self.inner);
-            if ring.is_full() {
-                Some(event)
-            } else {
-                ring.push(event);
-                None
-            }
-        });
-        if let Some(event) = overflow {
+        if let Some(event) = RING.with(|r| r.borrow_mut().push(&self.inner, event)) {
             self.emit_overflow(event);
         }
     }
 
-    /// Ring-full slow path: drain this bus's ring, append the overflowing
-    /// event (it is the newest, so op-completion order is preserved) and
-    /// deliver the batch inline. The `RefCell` borrow is released before
-    /// any sink runs, so sinks may themselves emit — their events land in
-    /// the now-empty ring and flush at the next flush point.
+    /// Ring-full slow path: take every pending event (all buses) and the
+    /// bus table out of the ring, append the overflowing event (it is the
+    /// newest, so emission order is preserved) and deliver inline. The
+    /// `RefCell` borrow is released before any sink runs, so sinks may
+    /// themselves emit — their events land in the now-empty ring and flush
+    /// at the next flush point.
     #[cold]
     fn emit_overflow(&self, event: IoEvent) {
-        let mut batch = RINGS.with(|r| {
-            let mut reg = r.borrow_mut();
-            let ring = reg.ring_for(&self.inner);
-            let mut out = Vec::with_capacity(ring.len() + 1);
-            ring.drain_into(&mut out);
-            out
-        });
-        batch.push(event);
-        deliver(&self.inner, &batch);
+        let mut pending = RING.with(|r| r.borrow_mut().take());
+        pending.append(&self.inner, event);
+        pending.deliver_runs();
     }
 
     /// Deliver a pre-built batch straight to this bus's sinks, bypassing
@@ -441,7 +431,7 @@ impl ProbeBus {
         deliver(&self.inner, events);
     }
 
-    /// Whether two handles refer to the same underlying bus (same rings,
+    /// Whether two handles refer to the same underlying bus (one ring tag,
     /// same sink snapshot). Cloned handles compare equal; two buses from
     /// separate [`ProbeBus::new`] calls never do.
     pub fn same_bus(&self, other: &ProbeBus) -> bool {
@@ -450,156 +440,162 @@ impl ProbeBus {
 }
 
 /// Events a sim thread can buffer between flush points before the ring
-/// delivers itself inline. Power of two: slot indexing is a mask, not a
-/// division.
+/// delivers itself inline.
 pub const RING_CAPACITY: usize = 1024;
-const RING_MASK: usize = RING_CAPACITY - 1;
 
-/// Fixed-capacity single-threaded ring. `head`/`tail` are free-running
-/// counters masked into the slot array; `tail - head` is the live length.
+/// An OS thread's pending events, bus-tagged run by run. The thread's own
+/// ring keeps `RING_CAPACITY` event slots for its lifetime; a drain moves
+/// the events, their runs and the bus table out into a detached `Ring` of
+/// the same shape and delivers from there.
+#[derive(Default)]
 struct Ring {
-    slots: Box<[Option<IoEvent>]>,
-    head: usize,
-    tail: usize,
+    /// Pending events, emission order.
+    events: Vec<IoEvent>,
+    /// `(bus tag, first slot)` of each maximal run of same-bus events; a
+    /// run ends where the next one starts.
+    runs: Vec<(u16, usize)>,
+    /// The buses with pending events, indexed by tag. Cleared at every
+    /// drain, so it never outgrows the ring and holds one `Arc` per bus
+    /// per flush window, not per event.
+    buses: Vec<Arc<BusInner>>,
 }
 
 impl Ring {
-    fn new() -> Self {
+    /// Append `event` for `bus`, or hand it back when the ring is full.
+    #[inline]
+    fn push(&mut self, bus: &Arc<BusInner>, event: IoEvent) -> Option<IoEvent> {
+        if self.events.len() == RING_CAPACITY {
+            return Some(event);
+        }
+        self.append(bus, event);
+        None
+    }
+
+    /// Append without a capacity check. Staying on the bus of the previous
+    /// event is one pointer compare; a bus change opens a new run.
+    #[inline]
+    fn append(&mut self, bus: &Arc<BusInner>, event: IoEvent) {
+        let same = matches!(self.runs.last(),
+            Some(&(tag, _)) if Arc::ptr_eq(&self.buses[tag as usize], bus));
+        if !same {
+            self.open_run(bus);
+        }
+        self.events.push(event);
+    }
+
+    /// Start a run for `bus`: one lookup in the table of buses pending
+    /// since the last drain, adding `bus` on its first event there.
+    fn open_run(&mut self, bus: &Arc<BusInner>) {
+        let tag = match self.buses.iter().position(|b| Arc::ptr_eq(b, bus)) {
+            Some(tag) => tag,
+            None => {
+                self.buses.push(Arc::clone(bus));
+                self.buses.len() - 1
+            }
+        };
+        // The table never outgrows the ring (RING_CAPACITY + 1), so tags fit.
+        self.runs.push((tag as u16, self.events.len()));
+    }
+
+    /// Move every pending event, run and bus out, leaving an empty ring
+    /// that keeps its slots. The detached ring has room for one more event
+    /// (the overflow path appends the newest one).
+    fn take(&mut self) -> Ring {
+        if self.events.is_empty() {
+            return Ring::default();
+        }
+        let mut events = Vec::with_capacity(self.events.len() + 1);
+        events.append(&mut self.events);
         Ring {
-            slots: std::iter::repeat_with(|| None)
-                .take(RING_CAPACITY)
-                .collect(),
-            head: 0,
-            tail: 0,
+            events,
+            runs: std::mem::take(&mut self.runs),
+            buses: std::mem::take(&mut self.buses),
         }
     }
 
-    #[inline]
-    fn len(&self) -> usize {
-        self.tail.wrapping_sub(self.head)
-    }
-
-    #[inline]
-    fn is_full(&self) -> bool {
-        self.len() == RING_CAPACITY
-    }
-
-    #[inline]
-    fn push(&mut self, event: IoEvent) {
-        debug_assert!(!self.is_full());
-        self.slots[self.tail & RING_MASK] = Some(event);
-        self.tail = self.tail.wrapping_add(1);
-    }
-
-    fn drain_into(&mut self, out: &mut Vec<IoEvent>) {
-        while self.head != self.tail {
-            out.push(
-                self.slots[self.head & RING_MASK]
-                    .take()
-                    .expect("occupied ring slot"),
-            );
-            self.head = self.head.wrapping_add(1);
+    /// Deliver each run, in emission order, as one batch to its bus's
+    /// sinks. Runs of a defunct bus — every `ProbeBus` handle dropped, e.g.
+    /// a previous `Sim`'s process bus — are discarded: delivering them
+    /// would carry a dead simulation's events into whatever runs next on
+    /// this host thread.
+    fn deliver_runs(&self) {
+        for (i, &(tag, start)) in self.runs.iter().enumerate() {
+            let end = self.runs.get(i + 1).map_or(self.events.len(), |r| r.1);
+            let bus = &self.buses[tag as usize];
+            if !bus.is_defunct() {
+                deliver(bus, &self.events[start..end]);
+            }
         }
-    }
-}
-
-/// Per-OS-thread (bus → ring) registry. Usually one entry (a process's own
-/// bus), two when a shared job spine mirrors events. Defunct-bus cleanup
-/// happens at flush points only, never per event.
-#[derive(Default)]
-struct Registry {
-    entries: Vec<(Arc<BusInner>, Ring)>,
-}
-
-impl Registry {
-    /// The ring for `bus`, created on first use. A linear `Arc::ptr_eq`
-    /// scan over one or two entries beats any hash.
-    #[inline]
-    fn ring_for(&mut self, bus: &Arc<BusInner>) -> &mut Ring {
-        let idx = self
-            .entries
-            .iter()
-            .position(|(b, _)| Arc::ptr_eq(b, bus))
-            .unwrap_or_else(|| {
-                self.entries.push((Arc::clone(bus), Ring::new()));
-                self.entries.len() - 1
-            });
-        &mut self.entries[idx].1
     }
 }
 
 thread_local! {
-    /// (bus, ring) pairs for this OS thread.
-    static RINGS: RefCell<Registry> = RefCell::new(Registry::default());
+    /// This OS thread's ring, shared by every bus it emits on.
+    static RING: RefCell<Ring> = RefCell::new(Ring {
+        events: Vec::with_capacity(RING_CAPACITY),
+        ..Ring::default()
+    });
     /// Re-entrancy guard: a sink fold must not trigger a nested flush.
     static FLUSHING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Drain every pending ring on the calling OS thread into the sinks of its
-/// bus. Installed as simrt's context-switch hook; also called explicitly at
-/// extraction points (snapshot, totals, detach, profiler start/stop) so the
-/// stream is complete there even without an intervening switch.
-pub fn flush_current_thread() {
-    if FLUSHING.with(|f| f.get()) {
-        return;
+/// Holds the calling thread's `FLUSHING` flag. Dropping it clears the flag,
+/// also while a panicking sink unwinds, so a caught panic cannot turn every
+/// later flush on the thread into a silent no-op.
+struct FlushGuard;
+
+impl FlushGuard {
+    /// `None` when a flush is already running on this thread.
+    fn enter() -> Option<FlushGuard> {
+        (!FLUSHING.with(|f| f.replace(true))).then_some(FlushGuard)
     }
-    FLUSHING.with(|f| f.set(true));
-    // Loop until the rings stay empty: a sink fold may itself emit (e.g. a
+}
+
+impl Drop for FlushGuard {
+    fn drop(&mut self) {
+        FLUSHING.with(|f| f.set(false));
+    }
+}
+
+/// Drain the calling OS thread's ring into the sinks of each event's bus,
+/// run by run in emission order. Installed as simrt's context-switch hook;
+/// also called explicitly at extraction points (snapshot, totals, detach,
+/// profiler start/stop) so the stream is complete there even without an
+/// intervening switch.
+pub fn flush_current_thread() {
+    let Some(_flushing) = FlushGuard::enter() else {
+        return;
+    };
+    // Loop until the ring stays empty: a sink fold may itself emit (e.g. a
     // sink notifying a daemon produces a Signal sync event on this thread),
     // and those events must be delivered *now*, before the next simulated
     // thread runs, to preserve the global execution-order guarantee. Bounded
-    // so a pathological always-emitting sink cannot spin forever.
+    // so a pathological always-emitting sink cannot spin forever. Moving
+    // the events out first keeps the RefCell unborrowed while sinks run.
     for _round in 0..8 {
-        // Move the pending batches out first so an emitting sink cannot
-        // observe a borrowed RefCell. Rings whose bus is defunct — every
-        // `ProbeBus` handle dropped, e.g. a previous `Sim`'s process bus —
-        // are discarded wholesale here: delivering them would carry a dead
-        // simulation's events into whatever runs next on this host thread.
-        let pending: Vec<(Arc<BusInner>, Vec<IoEvent>)> = RINGS.with(|r| {
-            let mut reg = r.borrow_mut();
-            reg.entries.retain(|(bus, _)| !bus.is_defunct());
-            let mut out = Vec::new();
-            for (bus, ring) in reg.entries.iter_mut() {
-                if ring.len() > 0 {
-                    let mut batch = Vec::with_capacity(ring.len());
-                    ring.drain_into(&mut batch);
-                    out.push((Arc::clone(bus), batch));
-                }
-            }
-            out
-        });
-        if pending.is_empty() {
+        let pending = RING.with(|r| r.borrow_mut().take());
+        if pending.events.is_empty() {
             break;
         }
-        for (bus, events) in pending {
-            deliver(&bus, &events);
-        }
+        pending.deliver_runs();
     }
-    FLUSHING.with(|f| f.set(false));
 }
 
-/// Drop every pending ring on the calling OS thread **without delivering**.
+/// Drop every pending event on the calling OS thread **without delivering**.
 /// Schedule-exploration harnesses call this between schedules: a replayed
 /// run must start from an empty instrumentation backplane, and events a
 /// previous schedule buffered but never flushed (e.g. because it deadlocked
 /// and was abandoned mid-run) must not leak into the next schedule's
 /// stream. A no-op outside exploration — normal teardown already discards
-/// defunct-bus rings at the next flush.
+/// defunct-bus events at the next flush.
 pub fn discard_thread_rings() {
-    RINGS.with(|r| {
-        let mut reg = r.borrow_mut();
-        for (_, ring) in reg.entries.iter_mut() {
-            let mut dropped = Vec::new();
-            ring.drain_into(&mut dropped);
-        }
-        reg.entries.clear();
-    });
+    drop(RING.with(|r| r.borrow_mut().take()));
 }
 
 /// Bridges `simrt` synchronization events onto a [`ProbeBus`] as
 /// [`EventKind::Sync`] events, interleaved with the I/O stream in execution
 /// order (the observer runs on the emitting task's carrier thread, and the
-/// per-thread rings drain at every context switch).
+/// per-thread ring drains at every context switch).
 ///
 /// Install with [`SyncBridge::install`]; remember to
 /// [`simrt::Sim::clear_sync_observer`] when analysis ends.
@@ -731,6 +727,24 @@ mod tests {
             target: intern("/f"),
             kind,
         }
+    }
+
+    fn fsync_fds(events: &[IoEvent]) -> Vec<i32> {
+        events
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Fsync { fd } => fd,
+                ref k => panic!("unexpected kind {k:?}"),
+            })
+            .collect()
+    }
+
+    /// (slots, pending events, pending buses) of this thread's ring.
+    fn ring_shape() -> (usize, usize, usize) {
+        RING.with(|r| {
+            let r = r.borrow();
+            (r.events.capacity(), r.events.len(), r.buses.len())
+        })
     }
 
     #[test]
@@ -873,6 +887,126 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_buses_each_get_their_own_events_in_order() {
+        let (a, b) = (ProbeBus::new(), ProbeBus::new());
+        let (sa, sb) = (
+            Arc::new(CollectingSink::new()),
+            Arc::new(CollectingSink::new()),
+        );
+        a.register(sa.clone());
+        b.register(sb.clone());
+        for fd in [0, 1, 2, 3, 4, 5, 6] {
+            // A, A, B, A, B, B, A: runs of both lengths, both orders.
+            let bus = if [2, 4, 5].contains(&fd) { &b } else { &a };
+            bus.emit(ev(EventKind::Fsync { fd }));
+        }
+        flush_current_thread();
+        assert_eq!(fsync_fds(&sa.snapshot()), vec![0, 1, 3, 6]);
+        assert_eq!(fsync_fds(&sb.snapshot()), vec![2, 4, 5]);
+    }
+
+    #[test]
+    fn sink_on_two_buses_sees_global_emission_order() {
+        let (a, b) = (ProbeBus::new(), ProbeBus::new());
+        let sink = Arc::new(CollectingSink::new());
+        a.register(sink.clone());
+        b.register(sink.clone());
+        for fd in 0..9 {
+            let bus = if fd % 3 == 1 { &b } else { &a };
+            bus.emit(ev(EventKind::Fsync { fd }));
+        }
+        flush_current_thread();
+        assert_eq!(fsync_fds(&sink.snapshot()), (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn overflow_triggered_by_another_bus_is_lossless_and_ordered() {
+        let (a, b) = (ProbeBus::new(), ProbeBus::new());
+        let (sa, sb) = (
+            Arc::new(CollectingSink::new()),
+            Arc::new(CollectingSink::new()),
+        );
+        a.register(sa.clone());
+        b.register(sb.clone());
+        let n = RING_CAPACITY as i32;
+        for fd in 0..n {
+            a.emit(ev(EventKind::Fsync { fd }));
+        }
+        assert!(sa.is_empty(), "a full ring is not delivered yet");
+        // B's event finds the ring full: everything drains inline, A's
+        // events first, then B's newest one.
+        b.emit(ev(EventKind::Fsync { fd: n }));
+        assert_eq!(sa.len(), RING_CAPACITY);
+        assert_eq!(sb.len(), 1);
+        a.emit(ev(EventKind::Fsync { fd: n + 1 }));
+        b.emit(ev(EventKind::Fsync { fd: n + 2 }));
+        flush_current_thread();
+        let mut want_a: Vec<i32> = (0..n).collect();
+        want_a.push(n + 1);
+        assert_eq!(fsync_fds(&sa.snapshot()), want_a);
+        assert_eq!(fsync_fds(&sb.snapshot()), vec![n, n + 2]);
+    }
+
+    #[test]
+    fn many_buses_share_one_ring() {
+        let buses: Vec<ProbeBus> = (0..300).map(|_| ProbeBus::new()).collect();
+        let sinks: Vec<Arc<CollectingSink>> = buses
+            .iter()
+            .map(|bus| {
+                let sink = Arc::new(CollectingSink::new());
+                bus.register(sink.clone());
+                sink
+            })
+            .collect();
+        for fd in 0..3 {
+            for bus in &buses {
+                bus.emit(ev(EventKind::Fsync { fd }));
+            }
+        }
+        assert_eq!(
+            ring_shape(),
+            (RING_CAPACITY, 900, 300),
+            "one ring, 300 tags"
+        );
+        flush_current_thread();
+        assert_eq!(ring_shape(), (RING_CAPACITY, 0, 0), "drained, slots kept");
+        for sink in &sinks {
+            assert_eq!(fsync_fds(&sink.snapshot()), vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn panicking_sink_does_not_disable_later_flushes() {
+        // Regression: a sink panic caught around the flush used to leave the
+        // thread's re-entrancy flag set, turning every later flush on the
+        // thread into a silent no-op.
+        struct PanicOnce {
+            panicked: std::sync::atomic::AtomicBool,
+            seen: AtomicUsize,
+        }
+        impl ProbeSink for PanicOnce {
+            fn on_events(&self, events: &[IoEvent]) {
+                if !self.panicked.swap(true, Ordering::Relaxed) {
+                    panic!("sink fails on its first batch");
+                }
+                self.seen.fetch_add(events.len(), Ordering::Relaxed);
+            }
+        }
+        let bus = ProbeBus::new();
+        let sink = Arc::new(PanicOnce {
+            panicked: std::sync::atomic::AtomicBool::new(false),
+            seen: AtomicUsize::new(0),
+        });
+        bus.register(sink.clone());
+        bus.emit(ev(EventKind::Stat));
+        let caught = std::panic::catch_unwind(flush_current_thread);
+        assert!(caught.is_err(), "the sink's panic reaches the caller");
+        bus.emit(ev(EventKind::Fsync { fd: 3 }));
+        flush_current_thread();
+        assert_eq!(sink.seen.load(Ordering::Relaxed), 1, "next flush delivers");
+    }
+
+    #[test]
     fn sync_bridge_interleaves_sync_events_with_io() {
         let sim = simrt::Sim::new();
         let bus = ProbeBus::new();
@@ -958,6 +1092,20 @@ mod tests {
             "a defunct bus's buffered events must not be delivered"
         );
         assert_eq!(sink.len(), 1, "the live bus still flows");
+
+        // Same, with the dead bus's events interleaved between the live
+        // bus's in one ring: only the dead runs are dropped.
+        let dead = ProbeBus::new();
+        dead.register(stale.clone());
+        for fd in 10..13 {
+            live.emit(ev(EventKind::Fsync { fd }));
+            dead.emit(ev(EventKind::Stat));
+        }
+        drop(dead);
+        live.emit(ev(EventKind::Fsync { fd: 13 }));
+        flush_current_thread();
+        assert!(stale.is_empty(), "interleaved dead-bus events are dropped");
+        assert_eq!(fsync_fds(&sink.snapshot()), vec![3, 10, 11, 12, 13]);
     }
 
     #[test]
