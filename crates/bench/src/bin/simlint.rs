@@ -8,6 +8,10 @@
 //! silently break determinism — exactly the property the `explore` model
 //! checker and the replay-token machinery depend on.
 //!
+//! A bare `simrt::block` outside simrt is flagged too: waits go through
+//! the `simrt::sync` primitives, whose poll forms emit the sync edges and
+//! wait contexts that a hand-rolled wait list would skip.
+//!
 //! This binary scans the workspace's simulation sources (`crates/*/src`,
 //! `src`, `examples`, `tests`) line by line for those patterns and exits
 //! non-zero listing every hit. Wall-clock benchmarks (`crates/*/benches`)
@@ -74,6 +78,13 @@ fn rules() -> Vec<Rule> {
             name: "thread-rng",
             needles: vec![format!("rand{col}thread_rng"), format!("thread_rng{}", "()")],
             why: "unseeded RNG breaks schedule replay; use a seeded StdRng",
+        },
+        Rule {
+            // simrt calls its own `block` unqualified, so only uses
+            // outside the crate match.
+            name: "raw-block",
+            needles: vec![format!("simrt{col}block(")],
+            why: "a hand-rolled wait list is invisible to the sync stream (no HB edges, no wait context); wait on a simrt::sync primitive",
         },
     ];
     rules

@@ -257,6 +257,7 @@ impl Gate {
                 return;
             }
             self.waiters.lock().push(simrt::current_task());
+            // simlint: allow(raw-block) a sync primitive here would add edges to the pinned probe streams
             simrt::block(None);
         }
     }

@@ -130,31 +130,26 @@ impl SumAllreduce {
     /// until the round completes; returns the fused element-wise sum over
     /// all live members' contributions.
     pub fn allreduce(&self, local: &HashMap<String, u64>) -> Arc<HashMap<String, u64>> {
-        let mut st = self.state.lock();
-        for (k, v) in local {
-            *st.acc.entry(k.clone()).or_insert(0) += *v;
-        }
-        st.arrived += 1;
-        let my_round = st.round;
-        let (result, peers) = if st.arrived >= st.live {
-            (Self::complete_round(&mut st, &self.cv), st.live)
-        } else {
-            while st.round == my_round {
-                st = self.cv.wait(st);
+        let mut progress = SumProgress::default();
+        loop {
+            if let Some((result, cost)) = self.poll_allreduce(local, &mut progress) {
+                if !cost.is_zero() {
+                    sleep(cost);
+                }
+                return result;
             }
-            (st.result.clone(), st.live)
-        };
-        drop(st);
-        self.charge(&result, peers);
-        result
+            // simlint: allow(raw-block) the poll registered this member with the state Mutex or the Condvar
+            simrt::block(None);
+        }
     }
 
-    /// Event-task path for [`SumAllreduce::allreduce`], driven with a
-    /// [`SumProgress`] (one per in-flight round; it resets itself on
-    /// completion). Returns `None` while the round is incomplete — the
-    /// event task should return `EventPoll::Block { deadline: None }` and
-    /// re-poll when woken. On completion it returns the fused vector plus
-    /// the network cost to charge; the event task charges it by returning
+    /// The state machine of [`SumAllreduce::allreduce`], which event tasks
+    /// drive directly with a [`SumProgress`] (one per in-flight round; it
+    /// resets itself on completion). Returns `None` while the round is
+    /// incomplete — the event task should return
+    /// `EventPoll::Block { deadline: None }` and re-poll when woken. On
+    /// completion it returns the fused vector plus the network cost to
+    /// charge; the event task charges it by returning
     /// `EventPoll::Sleep(cost)`. Interoperates with carrier contributors
     /// and with [`SumAllreduce::leave`].
     pub fn poll_allreduce(
@@ -162,9 +157,15 @@ impl SumAllreduce {
         local: &HashMap<String, u64>,
         p: &mut SumProgress,
     ) -> Option<(Arc<HashMap<String, u64>>, std::time::Duration)> {
-        let Some(mut st) = self.state.poll_lock() else {
-            return None; // queued on the state lock; re-poll when woken
-        };
+        if p.waiting {
+            // Woken by the condvar: its acquire edge precedes re-taking the
+            // state lock, as in `Condvar::wait`. Once per wake, so a poll
+            // queued on the lock does not ack again.
+            self.cv.ack_wait();
+            p.waiting = false;
+        }
+        // `None`: queued on the state lock; re-poll when woken.
+        let mut st = self.state.poll_lock()?;
         if !p.contributed {
             for (k, v) in local {
                 *st.acc.entry(k.clone()).or_insert(0) += *v;
@@ -173,28 +174,21 @@ impl SumAllreduce {
             p.my_round = st.round;
             p.contributed = true;
             if st.arrived >= st.live {
-                let result = Self::complete_round(&mut st, &self.cv);
-                let peers = st.live;
-                drop(st);
-                *p = SumProgress::default();
-                let cost = self.cost_of(&result, peers);
-                return Some((result, cost));
+                Self::complete_round(&mut st, &self.cv);
             }
+        }
+        if st.round == p.my_round {
+            // Round still pending (or a spurious wake): wait on the condvar.
             self.cv.register_waiter();
+            p.waiting = true;
             return None;
         }
-        if st.round != p.my_round {
-            let result = st.result.clone();
-            let peers = st.live;
-            drop(st);
-            self.cv.ack_wait();
-            *p = SumProgress::default();
-            let cost = self.cost_of(&result, peers);
-            return Some((result, cost));
-        }
-        // Spurious wake: round still pending. Stay registered and re-block.
-        self.cv.register_waiter();
-        None
+        let result = st.result.clone();
+        let peers = st.live;
+        drop(st);
+        *p = SumProgress::default();
+        let cost = self.cost_of(&result, peers);
+        Some((result, cost))
     }
 
     /// Leave the collective. If the remaining members are all blocked in
@@ -210,12 +204,11 @@ impl SumAllreduce {
         }
     }
 
-    fn complete_round(st: &mut SumState, cv: &Condvar) -> Arc<HashMap<String, u64>> {
+    fn complete_round(st: &mut SumState, cv: &Condvar) {
         st.result = Arc::new(std::mem::take(&mut st.acc));
         st.round += 1;
         st.arrived = 0;
         cv.notify_all();
-        st.result.clone()
     }
 
     /// The configured cost topology.
@@ -240,17 +233,6 @@ impl SumAllreduce {
         };
         dur::secs_f64(self.net.latency.as_secs_f64() * steps + volume / self.net.bandwidth)
     }
-
-    /// Charge the allreduce cost inline (carrier contributors).
-    fn charge(&self, result: &HashMap<String, u64>, peers: usize) {
-        if !simrt::on_sim_thread() {
-            return;
-        }
-        let cost = self.cost_of(result, peers);
-        if !cost.is_zero() {
-            sleep(cost);
-        }
-    }
 }
 
 /// Progress of one member through a polled [`SumAllreduce`] round. Create
@@ -259,6 +241,8 @@ impl SumAllreduce {
 pub struct SumProgress {
     contributed: bool,
     my_round: u64,
+    /// Registered on the condvar; the next poll acks the wake.
+    waiting: bool,
 }
 
 #[cfg(test)]

@@ -263,42 +263,18 @@ impl Comm {
     /// exchange rounds of one network latency each, so a 1k-rank barrier
     /// costs 10 rounds, not a flat constant that hides the scale).
     pub fn barrier(&self) {
-        let w = &self.world.inner;
-        emit_sync(SyncOp::Signal, w.sync_obj, &w.sync_labels.barrier);
-        w.barrier.wait();
-        let cost = self.barrier_cost();
-        if !cost.is_zero() {
-            sleep(cost);
-        }
-        w.barrier.wait();
-        emit_sync(SyncOp::Wait, w.sync_obj, &w.sync_labels.barrier);
+        block_on(|p| self.poll_barrier(p));
     }
 
     /// `MPI_Allreduce` of `bytes` (ring algorithm cost model): the
     /// data-parallel gradient synchronization of distributed training.
     pub fn allreduce_bytes(&self, bytes: u64) {
-        let w = &self.world.inner;
-        let n = self.size() as f64;
-        emit_sync(SyncOp::Signal, w.sync_obj, &w.sync_labels.allreduce);
-        w.barrier.wait();
-        if n > 1.0 {
-            sleep(self.allreduce_cost(bytes));
-        }
-        w.barrier.wait();
-        emit_sync(SyncOp::Wait, w.sync_obj, &w.sync_labels.allreduce);
+        block_on(|p| self.poll_allreduce_bytes(bytes, p));
     }
 
     /// `MPI_Bcast` of `bytes` (binomial tree cost model).
     pub fn bcast_bytes(&self, bytes: u64) {
-        let w = &self.world.inner;
-        let n = self.size() as f64;
-        emit_sync(SyncOp::Signal, w.sync_obj, &w.sync_labels.bcast);
-        w.barrier.wait();
-        if n > 1.0 {
-            sleep(self.bcast_cost(bytes));
-        }
-        w.barrier.wait();
-        emit_sync(SyncOp::Wait, w.sync_obj, &w.sync_labels.bcast);
+        block_on(|p| self.poll_bcast_bytes(bytes, p));
     }
 
     fn allreduce_cost(&self, bytes: u64) -> Duration {
@@ -317,13 +293,9 @@ impl Comm {
     }
 
     /// Dissemination barrier: `⌈log2 n⌉` rounds, one latency per round.
-    /// Zero for a single rank.
+    /// Zero for a single rank, as are the other collective costs.
     fn barrier_cost(&self) -> Duration {
-        let n = self.size() as f64;
-        if n <= 1.0 {
-            return Duration::ZERO;
-        }
-        let rounds = n.log2().ceil();
+        let rounds = (self.size() as f64).log2().ceil();
         dur::secs_f64(self.world.inner.net.latency.as_secs_f64() * rounds)
     }
 
@@ -334,8 +306,7 @@ impl Comm {
     /// entries, not 1k parked OS threads. Interoperates with carrier ranks
     /// blocked in the same collective.
     pub fn poll_barrier(&self, progress: &mut CollectiveProgress) -> CollectivePoll {
-        let cost = self.barrier_cost();
-        self.poll_collective(progress, cost, SyncLabelKind::Barrier)
+        self.poll_collective(progress, self.barrier_cost(), SyncLabelKind::Barrier)
     }
 
     /// Event-task path for [`Comm::allreduce_bytes`].
@@ -344,12 +315,11 @@ impl Comm {
         bytes: u64,
         progress: &mut CollectiveProgress,
     ) -> CollectivePoll {
-        let cost = if self.size() > 1 {
-            self.allreduce_cost(bytes)
-        } else {
-            Duration::ZERO
-        };
-        self.poll_collective(progress, cost, SyncLabelKind::Allreduce)
+        self.poll_collective(
+            progress,
+            self.allreduce_cost(bytes),
+            SyncLabelKind::Allreduce,
+        )
     }
 
     /// Event-task path for [`Comm::bcast_bytes`].
@@ -358,18 +328,13 @@ impl Comm {
         bytes: u64,
         progress: &mut CollectiveProgress,
     ) -> CollectivePoll {
-        let cost = if self.size() > 1 {
-            self.bcast_cost(bytes)
-        } else {
-            Duration::ZERO
-        };
-        self.poll_collective(progress, cost, SyncLabelKind::Bcast)
+        self.poll_collective(progress, self.bcast_cost(bytes), SyncLabelKind::Bcast)
     }
 
-    /// The shared collective shape: Signal on arrival, entry crossing,
-    /// network cost, exit crossing, Wait on departure — identical edges to
-    /// the blocking paths, so iosan's cross-rank happens-before analysis
-    /// cannot tell the flavors apart.
+    /// The one collective state machine: Signal on arrival, entry
+    /// crossing, network cost, exit crossing, Wait on departure. The
+    /// blocking collectives drive it too, so iosan's cross-rank
+    /// happens-before analysis cannot tell the flavors apart.
     fn poll_collective(
         &self,
         p: &mut CollectiveProgress,
@@ -406,6 +371,22 @@ impl Comm {
                     }
                 },
             }
+        }
+    }
+}
+
+/// Drive a polled collective on a carrier: park while pending, sleep off
+/// the network charge.
+fn block_on(mut poll: impl FnMut(&mut CollectiveProgress) -> CollectivePoll) {
+    let mut progress = CollectiveProgress::default();
+    loop {
+        match poll(&mut progress) {
+            CollectivePoll::Pending => {
+                // simlint: allow(raw-block) the poll registered this rank with the world Barrier
+                simrt::block(None);
+            }
+            CollectivePoll::Charge(cost) => sleep(cost),
+            CollectivePoll::Done => return,
         }
     }
 }

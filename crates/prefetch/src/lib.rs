@@ -85,13 +85,6 @@ pub struct PrefetchConfig {
     pub max_file_bytes: u64,
     /// Idle wakeup period when no probe events arrive.
     pub tick: Duration,
-    /// Drive idle wakeups from a stackless event task on the scheduler
-    /// calendar instead of a carrier-side `wait_timeout`. The daemon itself
-    /// stays a carrier thread either way — its work passes do real blocking
-    /// I/O — but with this on, its timer costs a heap entry, not a parked
-    /// timeout, which matters when many daemons share one simulation. Off
-    /// by default so committed traces keep their exact historical shape.
-    pub event_ticks: bool,
     /// When the fast tier is full, allow evicting a strictly colder staged
     /// file to make room for a hotter candidate. Displacement pays when the
     /// budget covers a meaningful fraction of the working set; when the
@@ -115,7 +108,6 @@ impl PrefetchConfig {
             low_watermark: 0.7,
             max_file_bytes: 1 << 20,
             tick: Duration::from_millis(50),
-            event_ticks: false,
             displace: true,
             seed: None,
         }
@@ -289,25 +281,6 @@ impl PrefetchDaemon {
             sink_id,
             unregistered: AtomicBool::new(false),
         });
-        if config.event_ticks {
-            // Stackless ticker: pokes the daemon every `tick` from the
-            // calendar. The first poll runs at spawn time, so it skips the
-            // notify once to match the carrier's step-then-wait cadence.
-            let shared = shared.clone();
-            let tick = config.tick;
-            let mut first = true;
-            sim.spawn_event("prefetchd-tick", move |_cx: &mut simrt::EventCx| {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return simrt::EventPoll::Done;
-                }
-                if first {
-                    first = false;
-                } else {
-                    shared.notify.notify_one();
-                }
-                simrt::EventPoll::Sleep(tick)
-            });
-        }
         sim.spawn("prefetchd", move || {
             daemon_main(process, config, hint, shared);
         });
@@ -617,12 +590,7 @@ fn daemon_main(
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        if cfg.event_ticks {
-            // The event ticker owns the timer; just wait to be poked.
-            shared.notify.wait();
-        } else {
-            shared.notify.wait_timeout(cfg.tick);
-        }
+        shared.notify.wait_timeout(cfg.tick);
     }
 }
 
@@ -749,34 +717,6 @@ mod tests {
             0,
             "the daemon's own opens are origin-tagged and invisible to heat"
         );
-    }
-
-    #[test]
-    fn event_ticks_drive_the_daemon_to_the_same_staging() {
-        let (stack, ..) = tiers();
-        let files: Vec<String> = (0..16)
-            .map(|i| {
-                let p = format!("/hdd/f{i}");
-                stack.create_synthetic(&p, 10_000, i).unwrap();
-                p
-            })
-            .collect();
-        let sim = simrt::Sim::new();
-        let process = Process::new(stack.clone());
-        let hint = EpochOrder::new();
-        hint.preload(Arc::new(files));
-        let mut c = cfg(Policy::Clairvoyant, 1 << 30);
-        c.event_ticks = true;
-        let daemon = PrefetchDaemon::spawn(&sim, process, c, Some(hint));
-        let d2 = daemon.clone();
-        sim.spawn("main", move || {
-            simrt::sleep(Duration::from_millis(200));
-            d2.stop();
-        });
-        sim.run();
-        assert_eq!(daemon.stats().promoted_files, 16);
-        assert_eq!(stack.staged_files(), 16);
-        assert_eq!(sim.stats().event_spawns, 1, "the ticker is an event task");
     }
 
     #[test]

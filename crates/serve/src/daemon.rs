@@ -313,14 +313,19 @@ fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>, mut spawn: impl FnM
 
 fn handle_ingest(stream: TcpStream, service: &ServeService) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        let trimmed = line.trim();
+        // A line that is not UTF-8 is one bad message, not a dead publisher.
+        let Ok(text) = std::str::from_utf8(&line) else {
+            service.note_parse_error();
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }

@@ -23,11 +23,11 @@ pub struct Request {
 /// Read and parse one request head off a stream. Returns `None` on
 /// malformed input, over-long heads, or early EOF.
 pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    let mut reader = BufReader::new(stream);
+    // One budget bounds every read, the request line included, so a peer
+    // that never sends a newline cannot make the server buffer past it.
+    let mut reader = BufReader::new(stream).take(MAX_HEAD as u64 + 1);
     let mut line = String::new();
-    let mut head = 0usize;
     reader.read_line(&mut line).ok()?;
-    head += line.len();
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_string();
     let path = parts.next()?.to_string();
@@ -36,14 +36,13 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
     }
     // Drain headers until the blank line so the peer sees a clean close.
     loop {
+        if reader.limit() == 0 {
+            return None; // the head is longer than MAX_HEAD
+        }
         let mut h = String::new();
         let n = reader.read_line(&mut h).ok()?;
-        head += n;
         if n == 0 || h == "\r\n" || h == "\n" {
             break;
-        }
-        if head > MAX_HEAD {
-            return None;
         }
     }
     Some(Request { method, path })
@@ -138,5 +137,41 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body, "hello 1\n");
         server.join().unwrap();
+    }
+
+    /// Parse `raw` sent by a client that keeps its socket open until the
+    /// server is done. Also returns whether the server finished while the
+    /// client was still waiting, i.e. without needing EOF.
+    fn read_raw(raw: Vec<u8>) -> (Option<Request>, bool) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let _ = s.write_all(&raw); // the server may stop reading early
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .is_ok()
+        });
+        let (mut s, _) = listener.accept().unwrap();
+        let req = read_request(&mut s);
+        drop(s);
+        done_tx.send(()).unwrap();
+        (req, client.join().unwrap())
+    }
+
+    #[test]
+    fn over_long_request_line_is_rejected() {
+        let raw = format!("GET /{} HTTP/1.0\r\n\r\n", "a".repeat(1 << 20));
+        assert_eq!(read_raw(raw.into_bytes()).0, None);
+    }
+
+    #[test]
+    fn unterminated_header_is_rejected_without_eof() {
+        let mut raw = b"GET /metrics HTTP/1.0\r\nX-Pad: ".to_vec();
+        raw.resize(raw.len() + MAX_HEAD, b'a');
+        let (req, before_eof) = read_raw(raw);
+        assert_eq!(req, None);
+        assert!(before_eof, "read_request waited for the peer to close");
     }
 }

@@ -128,6 +128,7 @@ fn malformed_ingest_lines_are_counted_not_fatal() {
     {
         use std::io::Write as _;
         let mut s = std::net::TcpStream::connect(daemon.ingest_addr()).unwrap();
+        s.write_all(b"\xff\xfe not utf8\n").unwrap();
         s.write_all(b"this is not json\n").unwrap();
         s.write_all((msg("ok", 0, 0, 42, 1.0).to_line() + "\n").as_bytes())
             .unwrap();
@@ -141,11 +142,11 @@ fn malformed_ingest_lines_are_counted_not_fatal() {
     let body = await_metrics(&daemon, |b| {
         metric_value(b, "tfdarshan_diffs_ingested_total ").as_deref() == Some("1")
     });
-    // All three bad lines (garbage, missing fields, too deep) count as
-    // parse errors; the valid message landed.
+    // All four bad lines (not UTF-8, garbage, missing fields, too deep)
+    // count as parse errors; the valid message landed.
     assert_eq!(
         metric_value(&body, "tfdarshan_ingest_parse_errors_total ").as_deref(),
-        Some("3")
+        Some("4")
     );
     assert_eq!(
         metric_value(&body, "tfdarshan_job_bytes_read_total{job=\"ok\"}").as_deref(),

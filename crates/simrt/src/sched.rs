@@ -215,12 +215,21 @@ pub fn emit_sync(op: SyncOp, obj: u64, label: &Arc<str>) {
 /// Cleared automatically when the thread resumes (for event tasks: at their
 /// next poll). No-op off sim threads.
 pub fn set_wait_context(ctx: impl Into<String>) {
-    let ctx = ctx.into();
+    store_wait_context(Some(ctx.into()));
+}
+
+/// Forget the calling task's wait context: a timed wait that gives up
+/// without blocking again must not leave it to a later bare [`block`].
+pub(crate) fn clear_wait_context() {
+    store_wait_context(None);
+}
+
+fn store_wait_context(ctx: Option<String>) {
     CURRENT.with(|c| {
         let b = c.borrow();
         if let Some((inner, tid)) = b.as_ref() {
             if let Some(info) = inner.state.lock().tasks.get_mut(tid) {
-                info.wait_ctx = Some(ctx);
+                info.wait_ctx = ctx;
             }
         }
     });

@@ -9,19 +9,21 @@
 //! Internal state still lives behind `parking_lot::Mutex` because carrier
 //! threads are real OS threads — but those locks are always uncontended.
 //!
-//! ## Event-task wait paths
+//! ## One state machine per primitive
 //!
-//! Every primitive also offers a non-blocking `poll_*` method for event
-//! tasks ([`crate::Sim::spawn_event`]), which have no stack to park and
-//! must never call the blocking methods. A poll either completes the
-//! operation immediately or registers the calling task in the wait list
-//! and returns a "pending" result — the event task then returns
-//! [`crate::EventPoll::Block`] from its poll and retries when resumed.
-//! Registration is idempotent (re-polling does not duplicate the entry),
-//! the same [`SyncOp`] edges are emitted as on the blocking paths, and the
-//! single-running-task invariant makes register-then-block atomic exactly
-//! as it is for carriers. All waiting is wake- or timer-driven — there is
-//! no busy-wait anywhere.
+//! Each wait is written once, as a non-blocking `poll_*` method: a poll
+//! either completes the operation or registers the calling task in the
+//! wait list and returns a "pending" result. Event tasks
+//! ([`crate::Sim::spawn_event`]), which have no stack to park and must
+//! never call the blocking methods, return [`crate::EventPoll::Block`] on
+//! pending and re-poll when resumed. A blocking method is the same poll
+//! plus a park: the carrier polls and, while the result is pending,
+//! [`block`]s and polls again. Wait-list registration, wakes and
+//! [`SyncOp`] edges therefore live only in the poll, so both flavors emit
+//! the same sync stream by construction. Registration is idempotent
+//! (re-polling does not duplicate the entry), and the single-running-task
+//! invariant makes register-then-block atomic for both flavors. All
+//! waiting is wake- or timer-driven — there is no busy-wait anywhere.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -30,8 +32,8 @@ use std::time::Duration;
 use parking_lot::Mutex as PlMutex;
 
 use crate::sched::{
-    block, current_task, emit_sync, new_sync_obj_id, on_sim_thread, set_wait_context, wake, SyncOp,
-    TaskId, WakeReason,
+    block, clear_wait_context, current_task, emit_sync, new_sync_obj_id, on_sim_thread,
+    set_wait_context, wake, SyncOp, TaskId, WakeReason,
 };
 use crate::time::SimTime;
 
@@ -40,6 +42,24 @@ fn obj_label(kind: &str, id: u64, name: Option<&str>) -> Arc<str> {
     match name {
         Some(n) => Arc::from(format!("{kind}#{id} '{n}'").as_str()),
         None => Arc::from(format!("{kind}#{id}").as_str()),
+    }
+}
+
+/// The carrier half of every wait: run the primitive's poll, which
+/// registers the caller while the result is pending, and [`block`] until
+/// it completes. Returns `None` once `deadline` has passed with the poll
+/// still pending; the caller then purges its stale registration,
+/// re-checks once and clears the wait context the polls left.
+fn park<R>(deadline: Option<SimTime>, mut poll: impl FnMut() -> Option<R>) -> Option<R> {
+    loop {
+        if let Some(r) = poll() {
+            return Some(r);
+        }
+        if deadline.is_some_and(|d| crate::sched::now() >= d)
+            || block(deadline) == WakeReason::Timeout
+        {
+            return None;
+        }
     }
 }
 
@@ -225,31 +245,25 @@ fn channel_inner<T>(cap: Option<usize>, name: Option<&str>) -> (Sender<T>, Recei
 impl<T> Sender<T> {
     /// Send, blocking in virtual time while the channel is full.
     pub fn send(&self, v: T) -> Result<(), SendError<T>> {
-        loop {
-            {
-                let mut st = self.inner.st.lock();
-                if st.closed || st.receivers == 0 {
-                    return Err(SendError(v));
+        let mut v = Some(v);
+        park(None, || {
+            match self.poll_send(v.take().expect("value handed back")) {
+                PollSend::Sent => Some(Ok(())),
+                PollSend::Closed(back) => Some(Err(SendError(back))),
+                PollSend::Full(back) => {
+                    v = Some(back);
+                    None
                 }
-                let full = st.cap.map(|c| st.buf.len() >= c).unwrap_or(false);
-                if !full {
-                    st.buf.push_back(v);
-                    ChanInner::wake_one_recv(&mut st);
-                    emit_sync(SyncOp::Signal, self.inner.id, &self.inner.label);
-                    return Ok(());
-                }
-                let me = current_task();
-                st.send_waiters.push_back(me);
             }
-            set_wait_context(format!("send on full {}", self.inner.label));
-            block(None);
-        }
+        })
+        .expect("no deadline")
     }
 
-    /// Event-task wait path for [`Sender::send`]: try to send, registering
-    /// the calling task as a send waiter when the channel is full. On
-    /// [`PollSend::Full`] the caller gets its value back and should return
-    /// [`crate::EventPoll::Block`], re-polling when resumed.
+    /// State machine of [`Sender::send`], called directly by event tasks: try
+    /// to send, registering the calling task as a send waiter when the
+    /// channel is full. On [`PollSend::Full`] the caller gets its value back
+    /// and should return [`crate::EventPoll::Block`], re-polling when
+    /// resumed.
     pub fn poll_send(&self, v: T) -> PollSend<T> {
         let ctx;
         {
@@ -314,69 +328,35 @@ impl<T> Receiver<T> {
     /// Receive, blocking in virtual time. Returns `None` once the channel is
     /// closed (or all senders dropped) and drained.
     pub fn recv(&self) -> Option<T> {
-        loop {
-            {
-                let mut st = self.inner.st.lock();
-                if let Some(v) = st.buf.pop_front() {
-                    ChanInner::wake_one_send(&mut st);
-                    emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                    return Some(v);
-                }
-                if st.closed || st.senders == 0 {
-                    // End-of-stream is ordered after the producers' last
-                    // sends/close: record the acquire half of that edge.
-                    emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                    return None;
-                }
-                let me = current_task();
-                st.recv_waiters.push_back(me);
-            }
-            set_wait_context(format!("recv on {}", self.inner.label));
-            block(None);
-        }
+        self.recv_until(None).ok()
     }
 
     /// Receive with a deadline in virtual time.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = crate::sched::now() + timeout;
-        loop {
-            {
-                let mut st = self.inner.st.lock();
-                if let Some(v) = st.buf.pop_front() {
-                    ChanInner::wake_one_send(&mut st);
-                    emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                    return Ok(v);
-                }
-                if st.closed || st.senders == 0 {
-                    emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                    return Err(RecvTimeoutError::Closed);
-                }
-                if crate::sched::now() >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let me = current_task();
-                st.recv_waiters.push_back(me);
-            }
-            set_wait_context(format!("recv on {}", self.inner.label));
-            if block(Some(deadline)) == WakeReason::Timeout {
-                // Purge our (stale) registration so wake_one skips cheaply.
-                let mut st = self.inner.st.lock();
-                let me = current_task();
-                st.recv_waiters.retain(|t| *t != me);
-                if let Some(v) = st.buf.pop_front() {
-                    ChanInner::wake_one_send(&mut st);
-                    emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
-                    return Ok(v);
-                }
-                return Err(RecvTimeoutError::Timeout);
-            }
-        }
+        self.recv_until(Some(crate::sched::now() + timeout))
     }
 
-    /// Event-task wait path for [`Receiver::recv`]: try to receive,
-    /// registering the calling task as a recv waiter when the channel is
-    /// empty but still open. On [`PollRecv::Pending`] the caller should
-    /// return [`crate::EventPoll::Block`], re-polling when resumed.
+    fn recv_until(&self, deadline: Option<SimTime>) -> Result<T, RecvTimeoutError> {
+        park(deadline, || match self.poll_recv() {
+            PollRecv::Ready(v) => Some(Ok(v)),
+            PollRecv::Closed => Some(Err(RecvTimeoutError::Closed)),
+            PollRecv::Pending => None,
+        })
+        .unwrap_or_else(|| {
+            // Purge the stale registration so wake_one skips cheaply. A
+            // message queued by the deadline is still taken; a close is
+            // not reported in place of the timeout.
+            let me = current_task();
+            self.inner.st.lock().recv_waiters.retain(|t| *t != me);
+            clear_wait_context();
+            self.try_recv().ok_or(RecvTimeoutError::Timeout)
+        })
+    }
+
+    /// State machine of [`Receiver::recv`], called directly by event tasks:
+    /// try to receive, registering the calling task as a recv waiter when the
+    /// channel is empty but still open. On [`PollRecv::Pending`] the caller
+    /// should return [`crate::EventPoll::Block`], re-polling when resumed.
     pub fn poll_recv(&self) -> PollRecv<T> {
         let ctx;
         {
@@ -387,6 +367,8 @@ impl<T> Receiver<T> {
                 return PollRecv::Ready(v);
             }
             if st.closed || st.senders == 0 {
+                // End-of-stream is ordered after the producers' last
+                // sends/close: record the acquire half of that edge.
                 emit_sync(SyncOp::Wait, self.inner.id, &self.inner.label);
                 return PollRecv::Closed;
             }
@@ -462,29 +444,7 @@ impl Semaphore {
     /// Acquire `n` permits, blocking in virtual time. FIFO-fair: a large
     /// request at the head is not starved by small requests behind it.
     pub fn acquire_many(&self, n: usize) {
-        loop {
-            {
-                let mut st = self.st.lock();
-                let first_in_line = st.waiters.front().map(|(t, _)| *t) == Some(current_task())
-                    || st.waiters.is_empty();
-                if first_in_line && st.permits >= n {
-                    if !st.waiters.is_empty() {
-                        st.waiters.pop_front();
-                    }
-                    st.permits -= n;
-                    // Grant any further satisfiable head-of-line waiters.
-                    Self::wake_head(&mut st);
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                    return;
-                }
-                let me = current_task();
-                if !st.waiters.iter().any(|(t, _)| *t == me) {
-                    st.waiters.push_back((me, n));
-                }
-            }
-            set_wait_context(format!("{} permit(s) of {}", n, self.label));
-            block(None);
-        }
+        park(None, || self.poll_acquire_many(n).then_some(())).expect("no deadline")
     }
 
     /// Acquire one permit.
@@ -492,9 +452,10 @@ impl Semaphore {
         self.acquire_many(1);
     }
 
-    /// Event-task wait path for [`Semaphore::acquire_many`]: returns true
-    /// when the permits were taken, false after registering the calling
-    /// task in the FIFO queue (the caller should block and re-poll).
+    /// State machine of [`Semaphore::acquire_many`], called directly by event
+    /// tasks: returns true when the permits were taken, false after
+    /// registering the calling task in the FIFO queue (the caller should
+    /// block and re-poll).
     pub fn poll_acquire_many(&self, n: usize) -> bool {
         let ctx;
         {
@@ -507,6 +468,7 @@ impl Semaphore {
                     st.waiters.pop_front();
                 }
                 st.permits -= n;
+                // Grant any further satisfiable head-of-line waiters.
                 Self::wake_head(&mut st);
                 emit_sync(SyncOp::Wait, self.id, &self.label);
                 return true;
@@ -638,24 +600,14 @@ impl Event {
 
     /// Block in virtual time until set.
     pub fn wait(&self) {
-        loop {
-            {
-                let mut st = self.st.lock();
-                if st.set {
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                    return;
-                }
-                st.waiters.push(current_task());
-            }
-            set_wait_context(format!("{} to be set", self.label));
-            block(None);
-        }
+        self.wait_until(None);
     }
 
-    /// Event-task wait path for [`Event::wait`]: returns true if set
-    /// (emitting the acquire edge), false after registering the calling
-    /// task as a waiter (the caller should block — with a deadline of its
-    /// own choosing for the `wait_deadline` analogue — and re-poll).
+    /// State machine of [`Event::wait`], called directly by event tasks:
+    /// returns true if set (emitting the acquire edge), false after
+    /// registering the calling task as a waiter (the caller should block —
+    /// with a deadline of its own choosing for the `wait_deadline` analogue —
+    /// and re-poll).
     pub fn poll_wait(&self) -> bool {
         {
             let mut st = self.st.lock();
@@ -674,29 +626,17 @@ impl Event {
 
     /// Block until set or until `deadline`. Returns true if set.
     pub fn wait_deadline(&self, deadline: SimTime) -> bool {
-        loop {
-            {
-                let mut st = self.st.lock();
-                if st.set {
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                    return true;
-                }
-                if crate::sched::now() >= deadline {
-                    return false;
-                }
-                st.waiters.push(current_task());
-            }
-            set_wait_context(format!("{} to be set", self.label));
-            if block(Some(deadline)) == WakeReason::Timeout {
-                let mut st = self.st.lock();
-                let me = current_task();
-                st.waiters.retain(|t| *t != me);
-                if st.set {
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                }
-                return st.set;
-            }
-        }
+        self.wait_until(Some(deadline))
+    }
+
+    fn wait_until(&self, deadline: Option<SimTime>) -> bool {
+        park(deadline, || self.poll_wait().then_some(true)).unwrap_or_else(|| {
+            let set = self.poll_wait();
+            let me = current_task();
+            self.st.lock().waiters.retain(|t| *t != me);
+            clear_wait_context();
+            set
+        })
     }
 }
 
@@ -749,25 +689,14 @@ impl Notify {
 
     /// Block in virtual time until notified, consuming the permit.
     pub fn wait(&self) {
-        loop {
-            {
-                let mut st = self.st.lock();
-                if st.pending {
-                    st.pending = false;
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                    return;
-                }
-                st.waiters.push(current_task());
-            }
-            set_wait_context(format!("a permit on {}", self.label));
-            block(None);
-        }
+        self.wait_until(None);
     }
 
-    /// Event-task wait path for [`Notify::wait`]: consumes the permit and
-    /// returns true if one is pending, otherwise registers the calling task
-    /// as a waiter and returns false (the caller should block — bounded by
-    /// a deadline for the `wait_timeout` analogue — and re-poll).
+    /// State machine of [`Notify::wait`], called directly by event tasks:
+    /// consumes the permit and returns true if one is pending, otherwise
+    /// registers the calling task as a waiter and returns false (the caller
+    /// should block — bounded by a deadline for the `wait_timeout` analogue —
+    /// and re-poll).
     pub fn poll_wait(&self) -> bool {
         {
             let mut st = self.st.lock();
@@ -788,33 +717,17 @@ impl Notify {
     /// Block until notified or until `timeout` elapses. Returns true (and
     /// consumes the permit) if notified.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = crate::sched::now() + timeout;
-        loop {
-            {
-                let mut st = self.st.lock();
-                if st.pending {
-                    st.pending = false;
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                    return true;
-                }
-                if crate::sched::now() >= deadline {
-                    return false;
-                }
-                st.waiters.push(current_task());
-            }
-            set_wait_context(format!("a permit on {}", self.label));
-            if block(Some(deadline)) == WakeReason::Timeout {
-                let mut st = self.st.lock();
-                let me = current_task();
-                st.waiters.retain(|t| *t != me);
-                if st.pending {
-                    st.pending = false;
-                    emit_sync(SyncOp::Wait, self.id, &self.label);
-                    return true;
-                }
-                return false;
-            }
-        }
+        self.wait_until(Some(crate::sched::now() + timeout))
+    }
+
+    fn wait_until(&self, deadline: Option<SimTime>) -> bool {
+        park(deadline, || self.poll_wait().then_some(true)).unwrap_or_else(|| {
+            let notified = self.poll_wait();
+            let me = current_task();
+            self.st.lock().waiters.retain(|t| *t != me);
+            clear_wait_context();
+            notified
+        })
     }
 }
 
@@ -861,39 +774,11 @@ impl Barrier {
     /// the barrier happens-before all work after it, for every pair of
     /// participants.
     pub fn wait(&self) -> bool {
-        emit_sync(SyncOp::Signal, self.id, &self.label);
-        let my_gen;
-        {
-            let mut st = self.st.lock();
-            my_gen = st.generation;
-            st.count += 1;
-            if st.count == self.n {
-                st.count = 0;
-                st.generation += 1;
-                for w in st.waiters.drain(..) {
-                    wake(w);
-                }
-                emit_sync(SyncOp::Wait, self.id, &self.label);
-                return true;
-            }
-            st.waiters.push(current_task());
-            set_wait_context(format!(
-                "{} ({} of {} arrived)",
-                self.label, st.count, self.n
-            ));
-        }
-        loop {
-            block(None);
-            let st = self.st.lock();
-            if st.generation != my_gen {
-                drop(st);
-                emit_sync(SyncOp::Wait, self.id, &self.label);
-                return false;
-            }
-        }
+        let mut token = None;
+        park(None, || self.poll_wait(&mut token)).expect("no deadline")
     }
 
-    /// Event-task wait path for [`Barrier::wait`], driven through `token`
+    /// State machine of [`Barrier::wait`], driven through `token`
     /// (start each crossing with `None`):
     ///
     /// * first poll — records the arrival (emitting the release edge). If it
@@ -1024,44 +909,14 @@ impl<T> Mutex<T> {
                 sim_owned: false,
             };
         }
-        let me = current_task();
-        loop {
-            {
-                let mut st = self.own.lock();
-                // Strict FIFO: a newcomer queues behind already-blocked
-                // waiters even when the lock is momentarily free.
-                let first_in_line = st.waiters.front() == Some(&me) || st.waiters.is_empty();
-                if st.holder.is_none() && first_in_line {
-                    if st.waiters.front() == Some(&me) {
-                        st.waiters.pop_front();
-                    }
-                    st.holder = Some(me);
-                    break;
-                }
-                if !st.waiters.contains(&me) {
-                    st.waiters.push_back(me);
-                }
-                let holder = st.holder;
-                drop(st);
-                match holder {
-                    Some(h) => set_wait_context(format!("{} held by {}", self.label, h)),
-                    None => set_wait_context(format!("{} (queued)", self.label)),
-                }
-            }
-            block(None);
-        }
-        emit_sync(SyncOp::Acquire, self.id, &self.label);
-        MutexGuard {
-            lock: self,
-            inner: Some(self.data.lock()),
-            sim_owned: true,
-        }
+        park(None, || self.poll_lock()).expect("no deadline")
     }
 
-    /// Event-task wait path for [`Mutex::lock`]: acquire if this task is
-    /// first in line, otherwise register it in the FIFO queue and return
-    /// `None` (the caller should block and re-poll). Unlike [`try_lock`],
-    /// a queued poller keeps its place and eventually wins the lock.
+    /// State machine of [`Mutex::lock`], called directly by event tasks:
+    /// acquire if this task is first in line, otherwise register it in the
+    /// FIFO queue and return `None` (the caller should block and re-poll).
+    /// Unlike [`try_lock`], a queued poller keeps its place and eventually
+    /// wins the lock.
     ///
     /// The returned guard must be dropped before the event task's poll
     /// returns — an event task cannot hold a lock across polls.
@@ -1072,6 +927,8 @@ impl<T> Mutex<T> {
         let ctx;
         {
             let mut st = self.own.lock();
+            // Strict FIFO: a newcomer queues behind already-blocked
+            // waiters even when the lock is momentarily free.
             let first_in_line = st.waiters.front() == Some(&me) || st.waiters.is_empty();
             if st.holder.is_none() && first_in_line {
                 if st.waiters.front() == Some(&me) {
@@ -1195,18 +1052,17 @@ impl Condvar {
     /// new guard.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let lock = guard.lock;
-        self.waiters.lock().push(current_task());
-        set_wait_context(format!("{} (released {})", self.label, lock.label));
+        self.register_waiter();
         drop(guard); // emits the mutex Release
         block(None);
-        emit_sync(SyncOp::Wait, self.id, &self.label);
+        self.ack_wait();
         lock.lock() // emits the mutex Acquire
     }
 
-    /// Event-task wait path for [`Condvar::wait`]. Because an event task
-    /// cannot hold a guard across polls, the protocol is split: while
-    /// holding the guard, call `register_waiter`, then drop the guard,
-    /// return [`crate::EventPoll::Block`], and on resumption call
+    /// The wait protocol split into steps, for event tasks, which cannot
+    /// hold a guard across polls; [`Condvar::wait`] runs the same steps.
+    /// While holding the guard, call `register_waiter`, then drop the
+    /// guard, return [`crate::EventPoll::Block`], and on resumption call
     /// [`Condvar::ack_wait`] before re-polling the mutex and re-checking
     /// the predicate. Registration is idempotent across re-polls.
     pub fn register_waiter(&self) {
@@ -1217,11 +1073,11 @@ impl Condvar {
                 w.push(me);
             }
         }
-        set_wait_context(format!("{} (event-task wait)", self.label));
+        set_wait_context(format!("a notify on {}", self.label));
     }
 
-    /// Record the acquire edge of a completed event-task wait (the
-    /// counterpart of the edge [`Condvar::wait`] emits when it resumes).
+    /// Record the acquire edge of a completed wait, after the wake and
+    /// before the mutex is re-acquired.
     pub fn ack_wait(&self) {
         emit_sync(SyncOp::Wait, self.id, &self.label);
     }
@@ -1566,6 +1422,20 @@ mod tests {
             let _gb = b2.lock();
             sleep(Duration::from_millis(1));
             let _ga = a2.lock();
+        });
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "blocked on <unknown: bare block()>")]
+    fn timed_out_wait_leaves_no_wait_context() {
+        // The re-check after a timeout polls again; the context that poll
+        // records must not be blamed for a later, unrelated block.
+        let sim = Sim::new();
+        let n = Notify::new();
+        sim.spawn("stuck", move || {
+            assert!(!n.wait_timeout(Duration::from_millis(1)));
+            block(None);
         });
         sim.run();
     }

@@ -120,6 +120,7 @@ impl DynamicParallelism {
                 return true;
             }
             self.waiters.lock().push(simrt::current_task());
+            // simlint: allow(raw-block) a sync primitive here would add edges to the pinned probe streams
             simrt::block(None);
         }
     }
