@@ -3,10 +3,11 @@
 //! caches dropped at every epoch boundary. Three modes: no staging, one
 //! uncoordinated classic daemon per rank at `budget / N` (the naive port,
 //! which races its peers for the shared fast tier and stages roughly one
-//! rank's share in total), and the fused `DistributedPrefetch` (per-rank
+//! rank's share in total), and the fused `PrefetchDaemon::spawn_job` (per-rank
 //! heat fused by allreduce, hash ownership, one job budget partitioned by
 //! fused heat). Expected ordering: fused ≥ local ≥ none aggregate read
-//! bandwidth — the acceptance artifact of the rank-as-first-class PR.
+//! bandwidth — the acceptance artifact of the rank-as-first-class PR. Exits
+//! 1 when either row deviates, so CI can gate on it.
 
 use workloads::distributed_ablation::{run_all, DistributedAblationConfig};
 
@@ -48,12 +49,14 @@ fn main() {
     }
 
     let bw: Vec<f64> = runs.iter().map(|r| r.read_mibps).collect();
+    let ok_order = bw[2] >= bw[1] && bw[1] >= bw[0];
     bench::row(
         "fused ≥ local ≥ none (4 ranks)",
         "yes",
         &format!("{:.0}/{:.0}/{:.0} MiB/s", bw[2], bw[1], bw[0]),
-        bw[2] >= bw[1] && bw[1] >= bw[0],
+        ok_order,
     );
+    let ok_race = runs[2].staged_bytes > runs[1].staged_bytes;
     bench::row(
         "fused escapes the budget race",
         "staged > local",
@@ -62,7 +65,11 @@ fn main() {
             runs[2].staged_bytes as f64 / 1e6,
             runs[1].staged_bytes as f64 / 1e6
         ),
-        runs[2].staged_bytes > runs[1].staged_bytes,
+        ok_race,
     );
     bench::save_json("ablation_distributed_prefetch", &serde_json::json!(out));
+
+    if !(ok_order && ok_race) {
+        std::process::exit(1);
+    }
 }

@@ -12,9 +12,9 @@
 //!   its *local* share against the *global* staged-byte gauge, so the
 //!   first daemons to act consume the shared headroom and the job stages
 //!   roughly one rank's share in total — the budget race
-//!   [`prefetch::DistributedPrefetch`] exists to fix;
-//! * **fused** — [`DistributedPrefetch`]: per-rank heat fused by allreduce,
-//!   hash ownership, one job budget partitioned by fused heat.
+//!   [`PrefetchDaemon::spawn_job`] exists to fix;
+//! * **fused** — [`PrefetchDaemon::spawn_job`]: per-rank heat fused by
+//!   allreduce, hash ownership, one job budget partitioned by fused heat.
 //!
 //! The shards are deliberately imbalanced (rank 0 owns far more bytes than
 //! rank N-1) so proportional budget partitioning has something to win.
@@ -31,9 +31,7 @@ use std::time::Duration;
 use mpi_sim::{MpiWorld, NetworkModel};
 use parking_lot::Mutex;
 use posix_sim::OpenFlags;
-use prefetch::{
-    DistributedConfig, DistributedPrefetch, Policy, PrefetchConfig, PrefetchDaemon, PrefetchStats,
-};
+use prefetch::{Policy, PrefetchConfig, PrefetchDaemon};
 
 use crate::platform::{greendog, mounts};
 
@@ -44,7 +42,7 @@ pub enum DistMode {
     None,
     /// N uncoordinated per-rank daemons, `budget / N` each.
     Local,
-    /// One [`DistributedPrefetch`]: fused heat, one job budget.
+    /// One [`PrefetchDaemon::spawn_job`]: fused heat, one job budget.
     Fused,
 }
 
@@ -78,9 +76,9 @@ pub struct DistributedAblationConfig {
     pub epochs: usize,
     /// Job-wide fast-tier budget as a fraction of total dataset bytes.
     pub budget_fraction: f64,
-    /// Heat-fusion period of the fused daemon (and the tick of the local
-    /// daemons, for fairness).
-    pub fuse_interval: Duration,
+    /// Daemon tick: the fused daemon's heat-fusion period and, for
+    /// fairness, the local daemons' idle wakeup.
+    pub tick: Duration,
     /// Pause between epochs: the staging window every mode gets.
     pub epoch_pause: Duration,
 }
@@ -93,7 +91,7 @@ impl Default for DistributedAblationConfig {
             file_bytes: 2 << 20,
             epochs: 4,
             budget_fraction: 0.6,
-            fuse_interval: Duration::from_millis(20),
+            tick: Duration::from_millis(20),
             epoch_pause: Duration::from_millis(200),
         }
     }
@@ -139,30 +137,24 @@ pub fn run_mode(mode: DistMode, cfg: &DistributedAblationConfig) -> DistributedR
     let budget = (total as f64 * cfg.budget_fraction) as u64;
     let world = MpiWorld::new(&m.stack, ws, NetworkModel::default());
 
-    let fused = if mode == DistMode::Fused {
-        let mut dcfg = DistributedConfig::new(mounts::HDD, mounts::OPTANE, budget);
-        dcfg.fuse_interval = cfg.fuse_interval;
-        dcfg.base.max_file_bytes = cfg.file_bytes;
-        Some(DistributedPrefetch::spawn(&m.sim, &world, dcfg))
-    } else {
-        None
+    let daemon_cfg = |budget: u64| PrefetchConfig {
+        max_file_bytes: cfg.file_bytes,
+        tick: cfg.tick,
+        ..PrefetchConfig::new(Policy::Reactive, mounts::HDD, mounts::OPTANE, budget)
     };
+    let fused = (mode == DistMode::Fused)
+        .then(|| PrefetchDaemon::spawn_job(&m.sim, &world, daemon_cfg(budget)));
     let locals: Vec<Arc<PrefetchDaemon>> = if mode == DistMode::Local {
         (0..ws)
             .map(|r| {
-                let mut pcfg = PrefetchConfig::new(
-                    Policy::Reactive,
-                    mounts::HDD,
-                    mounts::OPTANE,
-                    budget / ws as u64,
-                );
-                pcfg.max_file_bytes = cfg.file_bytes;
-                pcfg.tick = cfg.fuse_interval;
                 // A per-rank share is far smaller than a cyclically-read
                 // shard, so displacement would degenerate to evicting each
                 // file just before its next use. A sane local deployment
                 // pins what fits and holds it.
-                pcfg.displace = false;
+                let pcfg = PrefetchConfig {
+                    displace: false,
+                    ..daemon_cfg(budget / ws as u64)
+                };
                 PrefetchDaemon::spawn(&m.sim, world.process(r), pcfg, None)
             })
             .collect()
@@ -219,17 +211,11 @@ pub fn run_mode(mode: DistMode, cfg: &DistributedAblationConfig) -> DistributedR
     world.spawn_ranks(&m.sim, trainer);
     m.sim.run();
 
-    let stats: PrefetchStats = match mode {
-        DistMode::Fused => fused.as_ref().unwrap().job_stats(),
-        DistMode::Local => {
-            let mut t = PrefetchStats::default();
-            for d in &locals {
-                t.promoted_files += d.stats().promoted_files;
-            }
-            t
-        }
-        DistMode::None => PrefetchStats::default(),
-    };
+    let promoted_files = fused
+        .iter()
+        .chain(&locals)
+        .map(|d| d.stats().promoted_files)
+        .sum();
     let wall_s = *wall.lock();
     let bytes_read = total * cfg.epochs as u64;
     DistributedRun {
@@ -238,7 +224,7 @@ pub fn run_mode(mode: DistMode, cfg: &DistributedAblationConfig) -> DistributedR
         wall_s,
         bytes_read,
         staged_bytes: m.stack.staged_bytes(),
-        promoted_files: stats.promoted_files,
+        promoted_files,
     }
 }
 
@@ -254,16 +240,19 @@ pub fn run_all(cfg: &DistributedAblationConfig) -> Vec<DistributedRun> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn modes_order_on_a_small_run() {
-        let cfg = DistributedAblationConfig {
+    fn small() -> DistributedAblationConfig {
+        DistributedAblationConfig {
             shard_files: vec![8, 4, 2, 1],
             file_bytes: 1 << 20,
             epochs: 4,
             epoch_pause: Duration::from_millis(100),
             ..Default::default()
-        };
-        let runs = run_all(&cfg);
+        }
+    }
+
+    #[test]
+    fn modes_order_on_a_small_run() {
+        let runs = run_all(&small());
         assert_eq!(runs.len(), 3);
         let bw: Vec<f64> = runs.iter().map(|r| r.read_mibps).collect();
         assert!(
@@ -279,5 +268,19 @@ mod tests {
             runs[2].staged_bytes,
             runs[1].staged_bytes
         );
+    }
+
+    #[test]
+    fn fused_mode_repeats_exactly() {
+        // Eviction breaks equal-heat ties by path, so the fused daemon's
+        // decisions, and with them the virtual wall time, repeat run to run.
+        let runs: Vec<DistributedRun> = (0..3)
+            .map(|_| run_mode(DistMode::Fused, &small()))
+            .collect();
+        for r in &runs[1..] {
+            assert_eq!(r.promoted_files, runs[0].promoted_files);
+            assert_eq!(r.staged_bytes, runs[0].staged_bytes);
+            assert_eq!(r.wall_s.to_bits(), runs[0].wall_s.to_bits());
+        }
     }
 }
