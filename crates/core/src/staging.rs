@@ -5,8 +5,9 @@
 //! budget while accounting for a small fraction of bytes; moving exactly
 //! those files to the Optane tier buys a 19% bandwidth improvement while
 //! consuming only 8% of the dataset's bytes on the expensive tier. The
-//! advisor picks the threshold from profile data; `apply` migrates the
-//! files and returns the path remapping for the dataset's file list.
+//! advisor picks the threshold from profile data; `apply` promotes the
+//! files to the fast tier and returns the path remapping for the dataset's
+//! file list.
 
 use serde::{Deserialize, Serialize};
 use storage_sim::{FsError, StorageStack};

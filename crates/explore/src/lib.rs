@@ -16,7 +16,7 @@
 //!   as a one-line string such as `rt1:0.1` — that [`replay`] turns back
 //!   into the exact failing schedule, after greedy shrinking to the fewest
 //!   non-FIFO choices that still reproduce the finding.
-//! - Happens-before-based partial-order reduction (see [`mod@crate::por`]
+//! - Happens-before-based partial-order reduction (see the `por` module
 //!   internals and DESIGN.md §3.9) skips swaps that provably (at block
 //!   granularity) cannot change what the sanitizer observes.
 //!

@@ -103,7 +103,7 @@ impl Finding {
     /// over event ids, witnesses or timestamps, which depend on the
     /// interleaving that exposed the bug. Exploration harnesses use this
     /// to deduplicate the same underlying defect across many schedules
-    /// and to check that replaying a [shrunk] trace reproduces the same
+    /// and to check that replaying a shrunk trace reproduces the same
     /// finding.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

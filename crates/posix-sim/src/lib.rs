@@ -66,6 +66,47 @@ mod tests {
     }
 
     #[test]
+    fn short_read_buffer_bounds_the_read() {
+        let (sim, p, fs) = proc_fixture();
+        fs.create_synthetic("/data/f", 1000, 3).unwrap();
+        sim.spawn("t", move || {
+            let fd = p.open("/data/f", OpenFlags::rdonly()).unwrap();
+            let mut buf = [0u8; 10];
+            assert_eq!(p.read(fd, 400, Some(&mut buf)).unwrap(), 10);
+            assert_eq!(p.lseek(fd, 0, Whence::Cur).unwrap(), 10);
+            let mut want = [0u8; 10];
+            storage_sim::content::fill(3, 0, &mut want);
+            assert_eq!(buf, want);
+            assert_eq!(p.pread(fd, 500, 400, Some(&mut buf)).unwrap(), 10);
+            storage_sim::content::fill(3, 500, &mut want);
+            assert_eq!(buf, want);
+            p.close(fd).unwrap();
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn short_fread_buffer_bounds_the_fread() {
+        let (sim, p, fs) = proc_fixture();
+        fs.create_synthetic("/data/f", 1 << 20, 3).unwrap();
+        sim.spawn("t", move || {
+            let s = p.fopen("/data/f", "r").unwrap();
+            let mut buf = [0u8; 10];
+            let mut want = [0u8; 10];
+            // A request of BUFSIZ or more would bypass the read-ahead window.
+            assert_eq!(p.fread(s, 4 * BUFSIZ, Some(&mut buf)).unwrap(), 10);
+            storage_sim::content::fill(3, 0, &mut want);
+            assert_eq!(buf, want);
+            // A smaller one is served from the window.
+            assert_eq!(p.fread(s, 400, Some(&mut buf)).unwrap(), 10);
+            storage_sim::content::fill(3, 10, &mut want);
+            assert_eq!(buf, want);
+            p.fclose(s).unwrap();
+        });
+        sim.run();
+    }
+
+    #[test]
     fn pread_does_not_move_position() {
         let (sim, p, fs) = proc_fixture();
         fs.create_synthetic("/data/f", 100, 1).unwrap();

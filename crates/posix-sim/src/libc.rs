@@ -502,6 +502,8 @@ impl LibcStdio for DefaultStdio {
         if st.mode != StreamMode::Read {
             return Err(Errno::EACCES);
         }
+        // A short caller buffer bounds the request, as `read(2)` does.
+        let len = buf.as_deref().map_or(len, |b| len.min(b.len() as u64));
         let pos0 = st.pos;
         let mut served = 0u64;
         while served < len {

@@ -1,5 +1,10 @@
-//! The filesystem abstraction shared by the local (ext4-like) and
-//! Lustre-like implementations, plus the common in-memory namespace.
+//! The filesystem abstraction and its one implementation.
+//!
+//! [`Fs`] implements [`FileSystem`] once over the shared in-memory
+//! [`Namespace`]; a [`Media`] cost model supplies what differs between
+//! storage systems: how metadata and data movement are charged, and which
+//! devices hold the files. [`crate::local`] (ext4-like, one block device)
+//! and [`crate::lustre`] (MDS RPCs, striped OSTs) are the two models.
 //!
 //! Paths are flat strings with `/` separators; directories are implicit
 //! (the paper's workloads never manipulate directories, only files under
@@ -12,8 +17,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use simrt::{dur, sleep};
+
+use crate::cache::PageCache;
 use crate::content;
-use crate::device::Device;
+use crate::device::{Device, Dir};
 
 /// Filesystem error, mapped to errno by the POSIX layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,8 +133,9 @@ pub trait FileSystem: Send + Sync {
     fn close(&self, h: FsHandle) -> FsResult<()>;
 
     /// Read up to `len` bytes at `offset`. Returns bytes read (0 at EOF).
-    /// When `buf` is given, it is filled with the file's content (it must
-    /// be at least `len` long).
+    /// When `buf` is given, `len` is clamped to its length (as
+    /// `std::io::Read::read` does) and it is filled with the file's
+    /// content.
     fn read_at(&self, h: FsHandle, offset: u64, len: u64, buf: Option<&mut [u8]>) -> FsResult<u64>;
 
     /// Write at `offset`, extending the file if needed. Returns bytes
@@ -158,12 +167,9 @@ pub trait FileSystem: Send + Sync {
     /// virtual time is charged; content derives from `seed`.
     fn create_synthetic(&self, path: &str, size: u64, seed: u64) -> FsResult<()>;
 
-    /// Bytes of free capacity remaining.
-    fn free_bytes(&self) -> u64;
-
     /// Size and (for synthetic files) content seed of a path, charged no
-    /// virtual time. Used by [`crate::stack::StorageStack::migrate`] to
-    /// clone files across mounts without materializing bytes.
+    /// virtual time. Used by [`crate::stack::StorageStack::commit_promote`]
+    /// to clone files across mounts without materializing bytes.
     fn content_info(&self, path: &str) -> FsResult<(u64, Option<u64>)>;
 
     /// Copy up to `buf.len()` content bytes at `offset` into `buf` without
@@ -176,13 +182,6 @@ pub trait FileSystem: Send + Sync {
 // ---------------------------------------------------------------------------
 // Shared namespace machinery
 // ---------------------------------------------------------------------------
-
-static NEXT_FS_INSTANCE: AtomicU64 = AtomicU64::new(1);
-
-/// Allocate a process-unique filesystem instance id.
-pub fn next_instance_id() -> u64 {
-    NEXT_FS_INSTANCE.fetch_add(1, Ordering::Relaxed)
-}
 
 /// How a file's readable content is defined.
 #[derive(Clone, Debug)]
@@ -381,15 +380,301 @@ impl Namespace {
         v.sort();
         v
     }
+}
 
-    /// Number of files.
-    pub fn len(&self) -> usize {
-        self.st.lock().files.len()
+// ---------------------------------------------------------------------------
+// The one FileSystem implementation, generic over its cost model
+// ---------------------------------------------------------------------------
+
+/// Class of a metadata operation, as a [`Media`] charges it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetaOp {
+    /// Path lookup at the start of every `open`.
+    Open,
+    /// Inode allocation when `open` creates a missing file.
+    Create,
+    /// `stat`, `unlink` and `rename`.
+    Stat,
+}
+
+/// What differs between storage systems under one [`Fs`]: how metadata
+/// and data movement are charged, and which devices hold the files.
+pub trait Media: Send + Sync + 'static {
+    /// Implementation name ("local" / "lustre"), for reports.
+    const KIND: &'static str;
+
+    /// Backing devices. A new inode `id` lives on device `id % len`.
+    fn devices(&self) -> &[Arc<Device>];
+
+    /// Usable bytes of each device.
+    fn capacity(&self) -> u64;
+
+    /// Memory bandwidth for page-cache hits and user-space copies.
+    fn mem_bandwidth(&self) -> f64;
+
+    /// Charge one metadata operation.
+    fn meta(&self, op: MetaOp);
+
+    /// Charge opening the existing inode `id` of filesystem `instance`.
+    fn open_existing(&self, _cache: &PageCache, _instance: u64, _id: u64) -> FsResult<()> {
+        Ok(())
     }
 
-    /// True when no files exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Charge a read at or past end of file.
+    fn eof_probe(&self) {}
+
+    /// Move `len` bytes at `addr` of device `dev` (cache miss or
+    /// write-back).
+    fn transfer(&self, dir: Dir, dev: usize, addr: u64, len: u64) -> FsResult<()>;
+}
+
+/// Source of process-unique filesystem instance ids.
+static NEXT_FS_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+/// A filesystem: one namespace, a page cache shared with the other mounts
+/// of the machine, and a [`Media`] cost model. Writes are buffered in the
+/// page cache and flushed at `fsync`/`close`; every file is one extent,
+/// bump-allocated on its device.
+pub struct Fs<M> {
+    instance: u64,
+    ns: Namespace,
+    cache: Arc<PageCache>,
+    pub(crate) media: M,
+    /// Next free byte of each device.
+    alloc: Vec<Mutex<u64>>,
+}
+
+impl<M: Media> Fs<M> {
+    pub(crate) fn with_media(media: M, cache: Arc<PageCache>) -> Arc<Self> {
+        let alloc = media.devices().iter().map(|_| Mutex::new(0)).collect();
+        Arc::new(Fs {
+            instance: NEXT_FS_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            ns: Namespace::new(),
+            cache,
+            media,
+            alloc,
+        })
+    }
+
+    /// The shared page cache.
+    pub fn cache(&self) -> &Arc<PageCache> {
+        &self.cache
+    }
+
+    fn alloc_extent(&self, dev: usize, bytes: u64) -> FsResult<u64> {
+        let mut next = self.alloc[dev].lock();
+        if next.saturating_add(bytes) > self.media.capacity() {
+            return Err(FsError::NoSpace);
+        }
+        let base = *next;
+        *next += bytes;
+        Ok(base)
+    }
+
+    fn charge_copy(&self, len: u64) {
+        if len > 0 {
+            sleep(dur::transfer(len, self.media.mem_bandwidth()));
+        }
+    }
+}
+
+fn metadata(n: &FileNode) -> Metadata {
+    Metadata {
+        size: n.size,
+        file_id: n.id,
+    }
+}
+
+impl<M: Media> FileSystem for Fs<M> {
+    fn kind(&self) -> &'static str {
+        M::KIND
+    }
+
+    fn instance_id(&self) -> u64 {
+        self.instance
+    }
+
+    fn open(&self, path: &str, opts: &OpenOptions) -> FsResult<FsHandle> {
+        self.media.meta(MetaOp::Open);
+        let node = match self.ns.get(path) {
+            Some(node) => {
+                if opts.create_new {
+                    return Err(FsError::Exists);
+                }
+                let id = node.lock().id;
+                self.media.open_existing(&self.cache, self.instance, id)?;
+                if opts.truncate {
+                    let mut n = node.lock();
+                    n.size = 0;
+                    n.content = FileContent::Literal(Vec::new());
+                    self.cache.invalidate((self.instance, n.id));
+                }
+                node
+            }
+            None => {
+                if !opts.create && !opts.create_new {
+                    return Err(FsError::NotFound);
+                }
+                self.media.meta(MetaOp::Create);
+                // Re-check after the timed metadata ops: a concurrent
+                // creator may have won the race meanwhile (all openers of
+                // a collective create must share one inode).
+                let id = self.ns.alloc_inode();
+                let device_index = id as usize % self.alloc.len();
+                self.ns
+                    .get_or_insert(path, || FileNode {
+                        id,
+                        size: 0,
+                        content: FileContent::Literal(Vec::new()),
+                        extent_base: 0,
+                        extent_reserved: 0,
+                        device_index,
+                    })
+                    .0
+            }
+        };
+        Ok(self.ns.open_handle(node))
+    }
+
+    fn close(&self, h: FsHandle) -> FsResult<()> {
+        self.fsync(h)?;
+        self.ns.close_handle(h)?;
+        Ok(())
+    }
+
+    fn read_at(&self, h: FsHandle, offset: u64, len: u64, buf: Option<&mut [u8]>) -> FsResult<u64> {
+        let len = buf.as_ref().map_or(len, |b| len.min(b.len() as u64));
+        let node = self.ns.handle(h)?;
+        let (id, size, base, dev) = {
+            let n = node.lock();
+            (n.id, n.size, n.extent_base, n.device_index)
+        };
+        let n = len.min(size.saturating_sub(offset));
+        if n == 0 {
+            self.media.eof_probe();
+            return Ok(0);
+        }
+        let key = (self.instance, id);
+        for run in self.cache.plan_read(key, offset, n) {
+            if run.hit {
+                self.charge_copy(run.len);
+            } else {
+                self.media
+                    .transfer(Dir::Read, dev, base + run.offset, run.len)?;
+                self.cache.insert(key, run.offset, run.len, false);
+            }
+        }
+        if let Some(buf) = buf {
+            node.lock().fill(offset, &mut buf[..n as usize]);
+        }
+        Ok(n)
+    }
+
+    fn write_at(&self, h: FsHandle, offset: u64, payload: WritePayload<'_>) -> FsResult<u64> {
+        let node = self.ns.handle(h)?;
+        let len = payload.len();
+        if len == 0 {
+            return Ok(0);
+        }
+        let key;
+        {
+            let mut n = node.lock();
+            let end = offset + len;
+            if end > n.extent_reserved {
+                // Grow by relocating to a fresh power-of-two extent.
+                let reserve = end.next_power_of_two().max(1 << 20);
+                n.extent_base = self.alloc_extent(n.device_index, reserve)?;
+                n.extent_reserved = reserve;
+            }
+            n.apply_write(offset, &payload);
+            key = (self.instance, n.id);
+        }
+        // Buffered write: lands in the page cache as dirty, memory-speed.
+        self.cache.insert(key, offset, len, true);
+        self.charge_copy(len);
+        Ok(len)
+    }
+
+    fn fsync(&self, h: FsHandle) -> FsResult<()> {
+        let node = self.ns.handle(h)?;
+        let (id, base, dev) = {
+            let n = node.lock();
+            (n.id, n.extent_base, n.device_index)
+        };
+        for (off, len) in self.cache.take_dirty((self.instance, id)) {
+            self.media.transfer(Dir::Write, dev, base + off, len)?;
+        }
+        Ok(())
+    }
+
+    fn stat(&self, path: &str) -> FsResult<Metadata> {
+        self.media.meta(MetaOp::Stat);
+        let node = self.ns.get(path).ok_or(FsError::NotFound)?;
+        let n = node.lock();
+        Ok(metadata(&n))
+    }
+
+    fn fstat(&self, h: FsHandle) -> FsResult<Metadata> {
+        Ok(metadata(&self.ns.handle(h)?.lock()))
+    }
+
+    fn unlink(&self, path: &str) -> FsResult<()> {
+        self.media.meta(MetaOp::Stat);
+        let node = self.ns.remove(path).ok_or(FsError::NotFound)?;
+        self.cache.invalidate((self.instance, node.lock().id));
+        Ok(())
+    }
+
+    fn rename(&self, from: &str, to: &str) -> FsResult<()> {
+        self.media.meta(MetaOp::Stat);
+        self.ns.rename(from, to)
+    }
+
+    fn list(&self) -> Vec<(String, u64)> {
+        self.ns.list()
+    }
+
+    fn devices(&self) -> Vec<Arc<Device>> {
+        self.media.devices().to_vec()
+    }
+
+    fn create_synthetic(&self, path: &str, size: u64, seed: u64) -> FsResult<()> {
+        if self.ns.contains(path) {
+            return Err(FsError::Exists);
+        }
+        let id = self.ns.alloc_inode();
+        let device_index = id as usize % self.alloc.len();
+        let extent_base = self.alloc_extent(device_index, size.max(1))?;
+        self.ns.insert(
+            path,
+            FileNode {
+                id,
+                size,
+                content: FileContent::Synthetic { seed },
+                extent_base,
+                extent_reserved: size.max(1),
+                device_index,
+            },
+        );
+        Ok(())
+    }
+
+    fn content_info(&self, path: &str) -> FsResult<(u64, Option<u64>)> {
+        let node = self.ns.get(path).ok_or(FsError::NotFound)?;
+        let n = node.lock();
+        let seed = match n.content {
+            FileContent::Synthetic { seed } => Some(seed),
+            _ => None,
+        };
+        Ok((n.size, seed))
+    }
+
+    fn peek(&self, h: FsHandle, offset: u64, buf: &mut [u8]) -> FsResult<u64> {
+        let node = self.ns.handle(h)?;
+        let n = node.lock();
+        let cnt = (buf.len() as u64).min(n.size.saturating_sub(offset));
+        n.fill(offset, &mut buf[..cnt as usize]);
+        Ok(cnt)
     }
 }
 

@@ -1,8 +1,9 @@
 //! # storage-sim — storage substrate for the tf-Darshan reproduction
 //!
 //! Everything below the POSIX layer: block-device queueing models
-//! ([`device`]), a byte-range page cache ([`cache`]), an ext4-like local
-//! filesystem ([`local`]), a Lustre-like parallel filesystem ([`lustre`]),
+//! ([`device`]), a byte-range page cache ([`cache`]), one filesystem
+//! implementation ([`fs::Fs`]) under two cost models — ext4-like local
+//! storage ([`local`]) and a Lustre-like parallel filesystem ([`lustre`]) —
 //! and the mount table with cross-tier staging ([`stack`]). File content is
 //! synthetic and derived on demand ([`content`]), so multi-gigabyte paper
 //! datasets cost nothing to "store".

@@ -1,22 +1,19 @@
-//! Local (ext4-like) filesystem over one block device, with page cache.
+//! Local (ext4-like) cost model: one block device under the page cache.
 //!
 //! This models the Greendog workstation's storage: cheap metadata (dentry/
 //! inode caches), extent-based allocation so a file streams contiguously
 //! from its device, buffered (write-back) writes flushed at `fsync`/`close`.
+//! The filesystem itself is the shared [`Fs`]; [`Disk`] only says how
+//! each operation is charged.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use simrt::{dur, sleep};
+use simrt::sleep;
 
 use crate::cache::PageCache;
 use crate::device::{Device, Dir};
-use crate::fs::{
-    next_instance_id, FileContent, FileNode, FileSystem, FsError, FsHandle, FsResult, Metadata,
-    Namespace, OpenOptions, WritePayload,
-};
+use crate::fs::{Fs, FsError, FsResult, Media, MetaOp};
 
 /// Timing parameters of the local filesystem.
 #[derive(Clone, Debug)]
@@ -45,11 +42,6 @@ impl Default for LocalFsParams {
     }
 }
 
-struct AllocState {
-    next: u64,
-    used: u64,
-}
-
 /// Size of the inode block read on a cold-cache open.
 const INODE_BYTES: u64 = 512;
 
@@ -58,296 +50,75 @@ const INODE_BYTES: u64 = 512;
 /// (ext4 block groups put inode tables away from most file data).
 const INODE_TABLE_BASE: u64 = 1 << 45;
 
-/// An ext4-like filesystem on a single device.
-pub struct LocalFs {
-    instance: u64,
-    ns: Namespace,
+/// The ext4-like cost model: fixed metadata latencies and one device.
+pub struct Disk {
     device: Arc<Device>,
-    cache: Arc<PageCache>,
     params: LocalFsParams,
-    alloc: Mutex<AllocState>,
-    /// Bytes read from page cache (reported by the validation tests).
-    cache_hit_reads: AtomicU64,
 }
+
+/// An ext4-like filesystem on a single device.
+pub type LocalFs = Fs<Disk>;
 
 impl LocalFs {
     /// Create a filesystem on `device`, sharing `cache` with other mounts
     /// of the same machine (one OS page cache).
     pub fn new(device: Arc<Device>, cache: Arc<PageCache>, params: LocalFsParams) -> Arc<Self> {
-        Arc::new(LocalFs {
-            instance: next_instance_id(),
-            ns: Namespace::new(),
-            device,
-            cache,
-            params,
-            alloc: Mutex::new(AllocState { next: 0, used: 0 }),
-            cache_hit_reads: AtomicU64::new(0),
-        })
-    }
-
-    /// The shared page cache.
-    pub fn cache(&self) -> &Arc<PageCache> {
-        &self.cache
+        Fs::with_media(Disk { device, params }, cache)
     }
 
     /// The backing device.
     pub fn device(&self) -> &Arc<Device> {
-        &self.device
-    }
-
-    fn alloc_extent(&self, bytes: u64) -> FsResult<u64> {
-        let mut a = self.alloc.lock();
-        if a.next.saturating_add(bytes) > self.params.capacity {
-            return Err(FsError::NoSpace);
-        }
-        let base = a.next;
-        a.next += bytes;
-        a.used += bytes;
-        Ok(base)
-    }
-
-    /// Ensure the node's extent covers `end` bytes, relocating if needed.
-    fn ensure_extent(&self, node: &mut FileNode, end: u64) -> FsResult<()> {
-        if end <= node.extent_reserved {
-            return Ok(());
-        }
-        let reserve = end.next_power_of_two().max(1 << 20);
-        let base = self.alloc_extent(reserve)?;
-        node.extent_base = base;
-        node.extent_reserved = reserve;
-        Ok(())
-    }
-
-    fn charge_copy(&self, len: u64) {
-        if len > 0 {
-            sleep(dur::transfer(len, self.params.mem_bandwidth));
-        }
+        &self.media.device
     }
 }
 
-impl FileSystem for LocalFs {
-    fn kind(&self) -> &'static str {
-        "local"
+impl Media for Disk {
+    const KIND: &'static str = "local";
+
+    fn devices(&self) -> &[Arc<Device>] {
+        std::slice::from_ref(&self.device)
     }
 
-    fn instance_id(&self) -> u64 {
-        self.instance
+    fn capacity(&self) -> u64 {
+        self.params.capacity
     }
 
-    fn open(&self, path: &str, opts: &OpenOptions) -> FsResult<FsHandle> {
-        sleep(self.params.open_latency);
-        let existing = self.ns.get(path);
-        let node = match existing {
-            Some(node) => {
-                if opts.create_new {
-                    return Err(FsError::Exists);
-                }
-                // Cold inode/dentry: after drop_caches, opening a file
-                // reads its inode block from the device — a per-file seek
-                // that hits small-file workloads hardest (part of why the
-                // paper's staging optimization pays off).
-                {
-                    let (id, base) = {
-                        let n = node.lock();
-                        (n.id, n.extent_base)
-                    };
-                    let _ = base;
-                    let ikey = (self.instance, id | 1 << 63);
-                    for run in self.cache.plan_read(ikey, 0, INODE_BYTES) {
-                        if !run.hit {
-                            self.device
-                                .transfer(
-                                    Dir::Read,
-                                    INODE_TABLE_BASE + id * INODE_BYTES,
-                                    INODE_BYTES,
-                                )
-                                .map_err(|_| FsError::Io)?;
-                            self.cache.insert(ikey, 0, INODE_BYTES, false);
-                        }
-                    }
-                }
-                if opts.truncate {
-                    let mut n = node.lock();
-                    n.size = 0;
-                    n.content = FileContent::Literal(Vec::new());
-                    self.cache.invalidate((self.instance, n.id));
-                }
-                node
-            }
-            None => {
-                if !opts.create && !opts.create_new {
-                    return Err(FsError::NotFound);
-                }
-                sleep(self.params.create_latency);
-                // Re-check after the timed create: a concurrent creator
-                // may have won the race while we slept (all openers of a
-                // collective create must share one inode).
-                let id = self.ns.alloc_inode();
-                let (node, _created) = self.ns.get_or_insert(path, || FileNode {
-                    id,
-                    size: 0,
-                    content: FileContent::Literal(Vec::new()),
-                    extent_base: 0,
-                    extent_reserved: 0,
-                    device_index: 0,
-                });
-                node
-            }
-        };
-        Ok(self.ns.open_handle(node))
+    fn mem_bandwidth(&self) -> f64 {
+        self.params.mem_bandwidth
     }
 
-    fn close(&self, h: FsHandle) -> FsResult<()> {
-        self.fsync(h)?;
-        self.ns.close_handle(h)?;
-        Ok(())
+    fn meta(&self, op: MetaOp) {
+        sleep(match op {
+            MetaOp::Open => self.params.open_latency,
+            MetaOp::Create => self.params.create_latency,
+            MetaOp::Stat => self.params.stat_latency,
+        });
     }
 
-    fn read_at(&self, h: FsHandle, offset: u64, len: u64, buf: Option<&mut [u8]>) -> FsResult<u64> {
-        let node = self.ns.handle(h)?;
-        let (id, size, extent_base) = {
-            let n = node.lock();
-            (n.id, n.size, n.extent_base)
-        };
-        let n = len.min(size.saturating_sub(offset));
-        if n == 0 {
-            return Ok(0); // EOF probe: served from the inode, no device work
-        }
-        let key = (self.instance, id);
-        for run in self.cache.plan_read(key, offset, n) {
-            if run.hit {
-                self.charge_copy(run.len);
-                self.cache_hit_reads.fetch_add(run.len, Ordering::Relaxed);
-            } else {
-                self.device
-                    .transfer(Dir::Read, extent_base + run.offset, run.len)
-                    .map_err(|_| FsError::Io)?;
-                self.cache.insert(key, run.offset, run.len, false);
+    /// Cold inode/dentry: after drop_caches, opening a file reads its inode
+    /// block from the device — a per-file seek that hits small-file
+    /// workloads hardest (part of why the paper's staging optimization
+    /// pays off).
+    fn open_existing(&self, cache: &PageCache, instance: u64, id: u64) -> FsResult<()> {
+        let ikey = (instance, id | 1 << 63);
+        for run in cache.plan_read(ikey, 0, INODE_BYTES) {
+            if !run.hit {
+                self.transfer(
+                    Dir::Read,
+                    0,
+                    INODE_TABLE_BASE + id * INODE_BYTES,
+                    INODE_BYTES,
+                )?;
+                cache.insert(ikey, 0, INODE_BYTES, false);
             }
         }
-        if let Some(buf) = buf {
-            assert!(buf.len() as u64 >= n, "caller buffer too small");
-            node.lock().fill(offset, &mut buf[..n as usize]);
-        }
-        Ok(n)
-    }
-
-    fn write_at(&self, h: FsHandle, offset: u64, payload: WritePayload<'_>) -> FsResult<u64> {
-        let node = self.ns.handle(h)?;
-        let len = payload.len();
-        if len == 0 {
-            return Ok(0);
-        }
-        let key;
-        {
-            let mut n = node.lock();
-            self.ensure_extent(&mut n, offset + len)?;
-            n.apply_write(offset, &payload);
-            key = (self.instance, n.id);
-        }
-        // Buffered write: lands in the page cache as dirty, memory-speed.
-        self.cache.insert(key, offset, len, true);
-        self.charge_copy(len);
-        Ok(len)
-    }
-
-    fn fsync(&self, h: FsHandle) -> FsResult<()> {
-        let node = self.ns.handle(h)?;
-        let (id, extent_base) = {
-            let n = node.lock();
-            (n.id, n.extent_base)
-        };
-        for (off, len) in self.cache.take_dirty((self.instance, id)) {
-            self.device
-                .transfer(Dir::Write, extent_base + off, len)
-                .map_err(|_| FsError::Io)?;
-        }
         Ok(())
     }
 
-    fn stat(&self, path: &str) -> FsResult<Metadata> {
-        sleep(self.params.stat_latency);
-        let node = self.ns.get(path).ok_or(FsError::NotFound)?;
-        let n = node.lock();
-        Ok(Metadata {
-            size: n.size,
-            file_id: n.id,
-        })
-    }
-
-    fn fstat(&self, h: FsHandle) -> FsResult<Metadata> {
-        let node = self.ns.handle(h)?;
-        let n = node.lock();
-        Ok(Metadata {
-            size: n.size,
-            file_id: n.id,
-        })
-    }
-
-    fn unlink(&self, path: &str) -> FsResult<()> {
-        sleep(self.params.stat_latency);
-        let node = self.ns.remove(path).ok_or(FsError::NotFound)?;
-        let n = node.lock();
-        self.cache.invalidate((self.instance, n.id));
-        let mut a = self.alloc.lock();
-        a.used = a.used.saturating_sub(n.extent_reserved);
-        Ok(())
-    }
-
-    fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        sleep(self.params.stat_latency);
-        self.ns.rename(from, to)
-    }
-
-    fn list(&self) -> Vec<(String, u64)> {
-        self.ns.list()
-    }
-
-    fn devices(&self) -> Vec<Arc<Device>> {
-        vec![self.device.clone()]
-    }
-
-    fn create_synthetic(&self, path: &str, size: u64, seed: u64) -> FsResult<()> {
-        if self.ns.contains(path) {
-            return Err(FsError::Exists);
-        }
-        let base = self.alloc_extent(size.max(1))?;
-        let id = self.ns.alloc_inode();
-        self.ns.insert(
-            path,
-            FileNode {
-                id,
-                size,
-                content: FileContent::Synthetic { seed },
-                extent_base: base,
-                extent_reserved: size.max(1),
-                device_index: 0,
-            },
-        );
-        Ok(())
-    }
-
-    fn content_info(&self, path: &str) -> FsResult<(u64, Option<u64>)> {
-        let node = self.ns.get(path).ok_or(FsError::NotFound)?;
-        let n = node.lock();
-        let seed = match n.content {
-            FileContent::Synthetic { seed } => Some(seed),
-            _ => None,
-        };
-        Ok((n.size, seed))
-    }
-
-    fn peek(&self, h: FsHandle, offset: u64, buf: &mut [u8]) -> FsResult<u64> {
-        let node = self.ns.handle(h)?;
-        let n = node.lock();
-        let cnt = (buf.len() as u64).min(n.size.saturating_sub(offset));
-        n.fill(offset, &mut buf[..cnt as usize]);
-        Ok(cnt)
-    }
-
-    fn free_bytes(&self) -> u64 {
-        let a = self.alloc.lock();
-        self.params.capacity.saturating_sub(a.next)
+    fn transfer(&self, dir: Dir, _dev: usize, addr: u64, len: u64) -> FsResult<()> {
+        self.device
+            .transfer(dir, addr, len)
+            .map_err(|_| FsError::Io)
     }
 }
 
@@ -355,6 +126,8 @@ impl FileSystem for LocalFs {
 mod tests {
     use super::*;
     use crate::device::DeviceSpec;
+    use crate::fs::{FileSystem, OpenOptions, WritePayload};
+    use parking_lot::Mutex;
     use simrt::Sim;
 
     fn fixture(capacity: u64) -> (Sim, Arc<LocalFs>) {

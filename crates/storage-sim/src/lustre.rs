@@ -12,20 +12,19 @@
 //!   slots saturate (≈8× with 28 threads, Fig. 7b);
 //! * the trailing zero-length read TF issues per file is served from
 //!   cached size attributes — cheap, but still visible to Darshan.
+//!
+//! The filesystem itself is the shared [`Fs`]; [`Lustre`] only says how
+//! each operation is charged. A new file lives on OST `inode % ost_count`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use simrt::sleep;
 use simrt::sync::Semaphore;
-use simrt::{dur, sleep};
 
 use crate::cache::PageCache;
 use crate::device::{Device, DeviceSpec, Dir};
-use crate::fs::{
-    next_instance_id, FileContent, FileNode, FileSystem, FsError, FsHandle, FsResult, Metadata,
-    Namespace, OpenOptions, WritePayload,
-};
+use crate::fs::{Fs, FsError, FsResult, Media, MetaOp};
 
 /// Tunables of the Lustre client/server model.
 #[derive(Clone, Debug)]
@@ -69,289 +68,86 @@ impl Default for LustreParams {
     }
 }
 
-struct OstAlloc {
-    next: u64,
-}
-
-/// A Lustre-like filesystem client.
-pub struct LustreFs {
-    instance: u64,
-    ns: Namespace,
+/// The Lustre cost model: MDS RPCs for metadata, OST data RPCs for data.
+pub struct Lustre {
     params: LustreParams,
     osts: Vec<Arc<Device>>,
-    ost_alloc: Vec<Mutex<OstAlloc>>,
-    cache: Arc<PageCache>,
     mds_pool: Semaphore,
     mdc: Semaphore,
     osc: Semaphore,
 }
 
+/// A Lustre-like filesystem client.
+pub type LustreFs = Fs<Lustre>;
+
 impl LustreFs {
     /// Create a Lustre-like filesystem with `params`.
     pub fn new(params: LustreParams, cache: Arc<PageCache>) -> Arc<Self> {
         assert!(params.ost_count > 0);
-        let osts: Vec<Arc<Device>> = (0..params.ost_count)
+        let osts = (0..params.ost_count)
             .map(|i| Device::new(DeviceSpec::ost(&format!("ost{i}"))))
             .collect();
-        let ost_alloc = (0..params.ost_count)
-            .map(|_| Mutex::new(OstAlloc { next: 0 }))
-            .collect();
-        Arc::new(LustreFs {
-            instance: next_instance_id(),
-            ns: Namespace::new(),
+        let media = Lustre {
             mds_pool: Semaphore::new(params.mds_threads),
             mdc: Semaphore::new(params.mdc_slots),
             osc: Semaphore::new(params.osc_slots),
             osts,
-            ost_alloc,
-            cache,
             params,
-        })
-    }
-
-    /// One metadata RPC: client slot → MDS service thread → service time.
-    fn mds_rpc(&self) {
-        let _slot = self.mdc.guard();
-        let _srv = self.mds_pool.guard();
-        sleep(self.params.mds_service);
-    }
-
-    /// One data RPC moving `len` bytes at `addr` on OST `ost`.
-    fn data_rpc(&self, dir: Dir, ost: usize, addr: u64, len: u64) -> FsResult<()> {
-        let _slot = self.osc.guard();
-        sleep(self.params.data_rpc_base);
-        self.osts[ost]
-            .transfer(dir, addr, len)
-            .map_err(|_| FsError::Io)
-    }
-
-    fn alloc_on_ost(&self, ost: usize, bytes: u64) -> FsResult<u64> {
-        let mut a = self.ost_alloc[ost].lock();
-        if a.next.saturating_add(bytes) > self.params.ost_capacity {
-            return Err(FsError::NoSpace);
-        }
-        let base = a.next;
-        a.next += bytes;
-        Ok(base)
+        };
+        Fs::with_media(media, cache)
     }
 }
 
-impl FileSystem for LustreFs {
-    fn kind(&self) -> &'static str {
-        "lustre"
+impl Media for Lustre {
+    const KIND: &'static str = "lustre";
+
+    fn devices(&self) -> &[Arc<Device>] {
+        &self.osts
     }
 
-    fn instance_id(&self) -> u64 {
-        self.instance
+    fn capacity(&self) -> u64 {
+        self.params.ost_capacity
     }
 
-    fn open(&self, path: &str, opts: &OpenOptions) -> FsResult<FsHandle> {
-        self.mds_rpc();
-        let node = match self.ns.get(path) {
-            Some(node) => {
-                if opts.create_new {
-                    return Err(FsError::Exists);
-                }
-                if opts.truncate {
-                    let mut n = node.lock();
-                    n.size = 0;
-                    n.content = FileContent::Literal(Vec::new());
-                    self.cache.invalidate((self.instance, n.id));
-                }
-                node
-            }
-            None => {
-                if !opts.create && !opts.create_new {
-                    return Err(FsError::NotFound);
-                }
-                // The MDS RPC above slept: re-check-or-insert atomically so
-                // concurrent creators share one inode.
-                let id = self.ns.alloc_inode();
-                let ost = (id as usize) % self.osts.len();
-                let (node, _created) = self.ns.get_or_insert(path, || FileNode {
-                    id,
-                    size: 0,
-                    content: FileContent::Literal(Vec::new()),
-                    extent_base: 0,
-                    extent_reserved: 0,
-                    device_index: ost,
-                });
-                node
-            }
-        };
-        Ok(self.ns.open_handle(node))
+    fn mem_bandwidth(&self) -> f64 {
+        self.params.mem_bandwidth
     }
 
-    fn close(&self, h: FsHandle) -> FsResult<()> {
-        self.fsync(h)?;
-        self.ns.close_handle(h)?;
-        Ok(())
-    }
-
-    fn read_at(&self, h: FsHandle, offset: u64, len: u64, buf: Option<&mut [u8]>) -> FsResult<u64> {
-        let node = self.ns.handle(h)?;
-        let (id, size, base, ost) = {
-            let n = node.lock();
-            (n.id, n.size, n.extent_base, n.device_index)
-        };
-        let n = len.min(size.saturating_sub(offset));
-        if n == 0 {
-            // EOF probe served from cached attributes (no RPC).
-            sleep(self.params.cached_attr_read);
-            return Ok(0);
+    /// One MDS RPC (client slot → MDS service thread → service time) for
+    /// everything but create, which rides on the open's RPC.
+    fn meta(&self, op: MetaOp) {
+        if op != MetaOp::Create {
+            let _slot = self.mdc.guard();
+            let _srv = self.mds_pool.guard();
+            sleep(self.params.mds_service);
         }
-        let key = (self.instance, id);
-        for run in self.cache.plan_read(key, offset, n) {
-            if run.hit {
-                sleep(dur::transfer(run.len, self.params.mem_bandwidth));
-            } else {
-                let mut off = run.offset;
-                let end = run.offset + run.len;
-                while off < end {
-                    let chunk = (end - off).min(self.params.max_rpc_bytes);
-                    self.data_rpc(Dir::Read, ost, base + off, chunk)?;
-                    off += chunk;
-                }
-                self.cache.insert(key, run.offset, run.len, false);
-            }
-        }
-        if let Some(buf) = buf {
-            assert!(buf.len() as u64 >= n, "caller buffer too small");
-            node.lock().fill(offset, &mut buf[..n as usize]);
-        }
-        Ok(n)
     }
 
-    fn write_at(&self, h: FsHandle, offset: u64, payload: WritePayload<'_>) -> FsResult<u64> {
-        let node = self.ns.handle(h)?;
-        let len = payload.len();
-        if len == 0 {
-            return Ok(0);
-        }
-        let key;
-        {
-            let mut n = node.lock();
-            let end = offset + len;
-            if end > n.extent_reserved {
-                let reserve = end.next_power_of_two().max(1 << 20);
-                n.extent_base = self.alloc_on_ost(n.device_index, reserve)?;
-                n.extent_reserved = reserve;
-            }
-            n.apply_write(offset, &payload);
-            key = (self.instance, n.id);
-        }
-        self.cache.insert(key, offset, len, true);
-        sleep(dur::transfer(len, self.params.mem_bandwidth));
-        Ok(len)
+    /// Served from cached size attributes (no RPC).
+    fn eof_probe(&self) {
+        sleep(self.params.cached_attr_read);
     }
 
-    fn fsync(&self, h: FsHandle) -> FsResult<()> {
-        let node = self.ns.handle(h)?;
-        let (id, base, ost) = {
-            let n = node.lock();
-            (n.id, n.extent_base, n.device_index)
-        };
-        for (off, len) in self.cache.take_dirty((self.instance, id)) {
-            let mut o = off;
-            let end = off + len;
-            while o < end {
-                let chunk = (end - o).min(self.params.max_rpc_bytes);
-                self.data_rpc(Dir::Write, ost, base + o, chunk)?;
-                o += chunk;
-            }
+    /// Data RPCs of at most `max_rpc_bytes`, each holding an osc slot.
+    fn transfer(&self, dir: Dir, ost: usize, addr: u64, len: u64) -> FsResult<()> {
+        let mut off = 0;
+        while off < len {
+            let chunk = (len - off).min(self.params.max_rpc_bytes);
+            let _slot = self.osc.guard();
+            sleep(self.params.data_rpc_base);
+            self.osts[ost]
+                .transfer(dir, addr + off, chunk)
+                .map_err(|_| FsError::Io)?;
+            off += chunk;
         }
         Ok(())
-    }
-
-    fn stat(&self, path: &str) -> FsResult<Metadata> {
-        self.mds_rpc();
-        let node = self.ns.get(path).ok_or(FsError::NotFound)?;
-        let n = node.lock();
-        Ok(Metadata {
-            size: n.size,
-            file_id: n.id,
-        })
-    }
-
-    fn fstat(&self, h: FsHandle) -> FsResult<Metadata> {
-        let node = self.ns.handle(h)?;
-        let n = node.lock();
-        Ok(Metadata {
-            size: n.size,
-            file_id: n.id,
-        })
-    }
-
-    fn unlink(&self, path: &str) -> FsResult<()> {
-        self.mds_rpc();
-        let node = self.ns.remove(path).ok_or(FsError::NotFound)?;
-        self.cache.invalidate((self.instance, node.lock().id));
-        Ok(())
-    }
-
-    fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        self.mds_rpc();
-        self.ns.rename(from, to)
-    }
-
-    fn list(&self) -> Vec<(String, u64)> {
-        self.ns.list()
-    }
-
-    fn devices(&self) -> Vec<Arc<Device>> {
-        self.osts.clone()
-    }
-
-    fn create_synthetic(&self, path: &str, size: u64, seed: u64) -> FsResult<()> {
-        if self.ns.contains(path) {
-            return Err(FsError::Exists);
-        }
-        let id = self.ns.alloc_inode();
-        let ost = (id as usize) % self.osts.len();
-        let base = self.alloc_on_ost(ost, size.max(1))?;
-        self.ns.insert(
-            path,
-            FileNode {
-                id,
-                size,
-                content: FileContent::Synthetic { seed },
-                extent_base: base,
-                extent_reserved: size.max(1),
-                device_index: ost,
-            },
-        );
-        Ok(())
-    }
-
-    fn content_info(&self, path: &str) -> FsResult<(u64, Option<u64>)> {
-        let node = self.ns.get(path).ok_or(FsError::NotFound)?;
-        let n = node.lock();
-        let seed = match n.content {
-            FileContent::Synthetic { seed } => Some(seed),
-            _ => None,
-        };
-        Ok((n.size, seed))
-    }
-
-    fn peek(&self, h: FsHandle, offset: u64, buf: &mut [u8]) -> FsResult<u64> {
-        let node = self.ns.handle(h)?;
-        let n = node.lock();
-        let cnt = (buf.len() as u64).min(n.size.saturating_sub(offset));
-        n.fill(offset, &mut buf[..cnt as usize]);
-        Ok(cnt)
-    }
-
-    fn free_bytes(&self) -> u64 {
-        self.ost_alloc
-            .iter()
-            .map(|a| self.params.ost_capacity - a.lock().next)
-            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::{FileSystem, OpenOptions, WritePayload};
     use simrt::Sim;
 
     fn fixture() -> (Sim, Arc<LustreFs>) {

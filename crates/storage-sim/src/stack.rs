@@ -1,16 +1,16 @@
-//! The storage stack: mount table + cross-mount file migration (staging).
+//! The storage stack: mount table + cross-tier staging.
 //!
 //! A [`StorageStack`] maps path prefixes to filesystems, exactly like a
 //! mount table: `/data/hdd` → the HDD's ext4, `/data/optane` → the Optane
 //! tier, `/scratch` → Lustre. The POSIX layer resolves every path through
-//! it. [`StorageStack::migrate`] implements the paper's §V.B optimization —
-//! moving selected files to a faster tier — either instantly (the paper
-//! stages *before* the timed training run) or charged in virtual time.
+//! it.
 //!
 //! ## Tier staging (promote / evict)
 //!
-//! The online staging daemon (`crates/prefetch`) needs migration that is
-//! safe *under* concurrent application I/O. That is the promote API:
+//! The paper's §V.B optimization moves selected files to a faster tier.
+//! Both the paper's pre-run staging ([`StorageStack::promote_untimed`])
+//! and the online staging daemon (`crates/prefetch`) go through the
+//! promote API, which is safe *under* concurrent application I/O:
 //! promotion **copies** a file to the fast tier and installs a *redirect*
 //! (application path → fast-tier copy) consulted by the path wrappers; the
 //! original stays in place as the backing copy. This gives in-flight read
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::device::Device;
-use crate::fs::{FileSystem, FsError, FsHandle, FsResult, Metadata, OpenOptions, WritePayload};
+use crate::fs::{FileSystem, FsError, FsHandle, FsResult, Metadata, OpenOptions};
 
 /// A single mount entry.
 #[derive(Clone)]
@@ -175,54 +175,6 @@ impl StorageStack {
     /// Create a synthetic file via mount resolution (dataset generation).
     pub fn create_synthetic(&self, path: &str, size: u64, seed: u64) -> FsResult<()> {
         self.resolve(path)?.create_synthetic(path, size, seed)
-    }
-
-    /// Move `src` to `dst` (possibly on another mount).
-    ///
-    /// With `timed = false` this is the paper's setup step ("we move all
-    /// those files into our Intel Optane SSD" before the measured epoch):
-    /// content metadata is cloned instantly. With `timed = true` the copy
-    /// is performed through read/write and charged in virtual time.
-    pub fn migrate(&self, src: &str, dst: &str, timed: bool) -> FsResult<()> {
-        let src_fs = self.resolve(src)?;
-        let dst_fs = self.resolve(dst)?;
-        if src_fs.instance_id() == dst_fs.instance_id() {
-            return src_fs.rename(src, dst);
-        }
-        let (size, seed) = src_fs.content_info(src)?;
-        if timed {
-            let sh = src_fs.open(src, &OpenOptions::reading())?;
-            let dh = dst_fs.open(
-                dst,
-                &OpenOptions {
-                    write: true,
-                    create: true,
-                    truncate: true,
-                    ..Default::default()
-                },
-            )?;
-            let mut off = 0u64;
-            const CHUNK: u64 = 1 << 20;
-            while off < size {
-                let n = src_fs.read_at(sh, off, CHUNK, None)?;
-                if n == 0 {
-                    break;
-                }
-                dst_fs.write_at(dh, off, WritePayload::Synthetic(n))?;
-                off += n;
-            }
-            src_fs.close(sh)?;
-            dst_fs.close(dh)?;
-            // Preserve synthetic identity if the source had one.
-            if let Some(seed) = seed {
-                dst_fs.unlink(dst)?;
-                dst_fs.create_synthetic(dst, size, seed)?;
-            }
-        } else {
-            dst_fs.create_synthetic(dst, size, seed.unwrap_or(size))?;
-        }
-        src_fs.unlink(src)?;
-        Ok(())
     }
 
     // -- tier staging (promote / evict) -----------------------------------
@@ -380,7 +332,6 @@ mod tests {
     use crate::device::DeviceSpec;
     use crate::local::{LocalFs, LocalFsParams};
     use simrt::Sim;
-    use std::time::Duration;
 
     fn two_tier() -> (StorageStack, Arc<LocalFs>, Arc<LocalFs>) {
         let cache = Arc::new(PageCache::new(1 << 30));
@@ -414,62 +365,6 @@ mod tests {
         assert!(stack.resolve("/other/x").is_err());
         // "/data/hddx" must NOT match the /data/hdd mount.
         assert!(stack.resolve("/data/hddx/y").is_err());
-    }
-
-    #[test]
-    fn untimed_migrate_moves_instantly_and_preserves_content() {
-        let (stack, hdd, optane) = two_tier();
-        stack.create_synthetic("/data/hdd/f1", 2 << 20, 42).unwrap();
-        let sim = Sim::new();
-        let stack2 = stack.clone();
-        sim.spawn("t", move || {
-            let t0 = simrt::now();
-            stack2
-                .migrate("/data/hdd/f1", "/data/optane/f1", false)
-                .unwrap();
-            // Only namespace administration (microseconds), no data movement.
-            assert!(simrt::now() - t0 < Duration::from_millis(1));
-            assert!(stack2.stat("/data/hdd/f1").is_err());
-            assert_eq!(stack2.stat("/data/optane/f1").unwrap().size, 2 << 20);
-        });
-        sim.run();
-        assert_eq!(optane.content_info("/data/optane/f1").unwrap().1, Some(42));
-        assert!(hdd.content_info("/data/hdd/f1").is_err());
-    }
-
-    #[test]
-    fn timed_migrate_charges_both_devices() {
-        let (stack, hdd, optane) = two_tier();
-        stack.create_synthetic("/data/hdd/f1", 4 << 20, 7).unwrap();
-        let sim = Sim::new();
-        let stack2 = stack.clone();
-        sim.spawn("t", move || {
-            stack2
-                .migrate("/data/hdd/f1", "/data/optane/f1", true)
-                .unwrap();
-        });
-        sim.run();
-        assert!(
-            sim.now().as_secs_f64() > 0.01,
-            "copy takes real virtual time"
-        );
-        // 4 MiB of data + one cold inode block on the source open.
-        assert_eq!(hdd.device().snapshot().bytes_read, (4 << 20) + 512);
-        assert_eq!(optane.device().snapshot().bytes_written, 4 << 20);
-        assert_eq!(optane.content_info("/data/optane/f1").unwrap().1, Some(7));
-    }
-
-    #[test]
-    fn same_fs_migrate_is_rename() {
-        let (stack, hdd, _) = two_tier();
-        stack.create_synthetic("/data/hdd/a", 100, 1).unwrap();
-        let sim = Sim::new();
-        let stack2 = stack.clone();
-        sim.spawn("t", move || {
-            stack2.migrate("/data/hdd/a", "/data/hdd/b", false).unwrap();
-        });
-        sim.run();
-        assert!(hdd.content_info("/data/hdd/b").is_ok());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! Each job runs on its own host thread with its own simulated Greendog
 //! machine and its own [`JobCtx`]; over `epochs` profiling windows it
-//! reads a private dataset, extracts the window's [`RankSession`], and
-//! publishes it to a shared [`ServeDaemon`] — even-numbered jobs
+//! reads a private dataset, extracts the window's
+//! [`RankSession`](tfdarshan::RankSession), and publishes it to a shared
+//! [`ServeDaemon`] — even-numbered jobs
 //! in-process through [`LocalPublisher`], odd-numbered jobs as NDJSON
 //! over the daemon's TCP ingest socket through [`TcpPublisher`], so one
 //! run stresses the multi-tenant path over both transports at once.
