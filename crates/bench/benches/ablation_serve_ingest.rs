@@ -12,12 +12,17 @@
 //! * **render latency** of the Prometheus exposition straight off the
 //!   core;
 //! * **scrape latency** of a real daemon's `/metrics` over HTTP
-//!   (loopback), pump thread and mutex included.
+//!   (loopback), pump thread and mutex included;
+//! * **wire codec cost**: host µs per `SessionDiffMsg::to_line` and
+//!   `from_line`, and ns per byte, at 2, 20 and 320 files per message.
 //!
 //! Acceptance: ingest throughput at 64 tenants stays within 4× of the
 //! single-tenant rate (per-tenant state is hash-keyed, so fan-out should
-//! cost little), and a 64-tenant HTTP scrape stays under 50 ms.
+//! cost little), a 64-tenant HTTP scrape stays under 50 ms, and decoding
+//! a 320-file line costs at most 1.5× the ns per byte of a 2-file line
+//! (the codec is linear in the line's length).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use serve::{Aggregator, AggregatorConfig, LocalPublisher, Publisher, ServeConfig, ServeDaemon};
@@ -31,8 +36,13 @@ const MESSAGES: usize = 20_000;
 const FILES_PER_MSG: usize = 20;
 /// `/metrics` renders/scrapes averaged per point.
 const SCRAPES: usize = 50;
+/// Files per message of the wire-codec rows: the fleet benchmark's shape,
+/// this bench's ingest messages, and a large per-window file table.
+const CODEC_FILES: [usize; 3] = [2, FILES_PER_MSG, 320];
+/// Timed batches per codec row; the fastest counts.
+const CODEC_BATCHES: usize = 7;
 
-fn synth_msg(job: &str, seq: u64) -> SessionDiffMsg {
+fn synth_msg(job: &str, seq: u64, files: usize) -> SessionDiffMsg {
     let mut report = TfDarshanReport {
         window: (seq as f64, seq as f64 + 1.0),
         ..Default::default()
@@ -40,11 +50,11 @@ fn synth_msg(job: &str, seq: u64) -> SessionDiffMsg {
     report.io.reads = 64;
     report.io.bytes_read = 64 << 20;
     report.io.read_size_hist[6] = 64;
-    report.files = (0..FILES_PER_MSG)
+    report.files = (0..files)
         .map(|i| FileActivity {
             path: format!("/data/{job}/shard-{:04}.tfrecord", (seq as usize + i) % 512),
             reads: 3,
-            bytes_read: (64 << 20) / FILES_PER_MSG as u64,
+            bytes_read: (64 << 20) / files as u64,
             apparent_size: 128 << 20,
             read_time: 0.004,
         })
@@ -63,7 +73,7 @@ fn synth_msg(job: &str, seq: u64) -> SessionDiffMsg {
 fn core_point(tenants: usize) -> (f64, f64, usize) {
     let jobs: Vec<String> = (0..tenants).map(|t| format!("train-{t:03}")).collect();
     let msgs: Vec<SessionDiffMsg> = (0..MESSAGES)
-        .map(|i| synth_msg(&jobs[i % tenants], (i / tenants) as u64))
+        .map(|i| synth_msg(&jobs[i % tenants], (i / tenants) as u64, FILES_PER_MSG))
         .collect();
 
     let mut agg = Aggregator::new(AggregatorConfig::default());
@@ -91,7 +101,7 @@ fn daemon_scrape_ms(tenants: usize) -> f64 {
     for i in 0..MESSAGES.min(4_000) {
         let job = format!("train-{:03}", i % tenants);
         local
-            .publish(&synth_msg(&job, (i / tenants) as u64))
+            .publish(&synth_msg(&job, (i / tenants) as u64, FILES_PER_MSG))
             .unwrap();
     }
     // First scrape drains the queues; measure steady-state scrapes.
@@ -104,6 +114,35 @@ fn daemon_scrape_ms(tenants: usize) -> f64 {
     let ms = t0.elapsed().as_secs_f64() * 1e3 / SCRAPES as f64;
     daemon.shutdown();
     ms
+}
+
+/// Fastest of `CODEC_BATCHES` batches of `reps` calls of `op`, in host µs
+/// per call.
+fn best_us(reps: usize, mut op: impl FnMut()) -> f64 {
+    (0..CODEC_BATCHES)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                op();
+            }
+            t0.elapsed().as_secs_f64() * 1e6 / reps as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// One wire-codec row. Returns `(line bytes, encode µs, decode µs)`.
+fn codec_point(files: usize) -> (usize, f64, f64) {
+    let msg = synth_msg("train-000", 7, files);
+    let line = msg.to_line();
+    // About 2 MB of text per batch, so short lines are not timer-bound.
+    let reps = (2_000_000 / line.len()).max(20);
+    let encode_us = best_us(reps, || {
+        black_box(black_box(&msg).to_line());
+    });
+    let decode_us = best_us(reps, || {
+        black_box(SessionDiffMsg::from_line(black_box(&line)).expect("wire line decodes"));
+    });
+    (line.len(), encode_us, decode_us)
 }
 
 fn main() {
@@ -123,6 +162,19 @@ fn main() {
         points.push((tenants, rate, render_ms, scrape_ms, bytes));
     }
 
+    let mut codec = Vec::new();
+    for files in CODEC_FILES {
+        let (bytes, encode_us, decode_us) = codec_point(files);
+        let (encode_ns_b, decode_ns_b) = (
+            encode_us * 1e3 / bytes as f64,
+            decode_us * 1e3 / bytes as f64,
+        );
+        println!(
+            "wire {files:>3} files: {bytes:>6} B   encode {encode_us:>8.2} us ({encode_ns_b:.2} ns/B)   decode {decode_us:>8.2} us ({decode_ns_b:.2} ns/B)"
+        );
+        codec.push((files, bytes, encode_us, decode_us, encode_ns_b, decode_ns_b));
+    }
+
     let single = points[0].1;
     let widest = points.last().unwrap();
     let ok_rate = widest.1 >= single / 4.0;
@@ -138,6 +190,14 @@ fn main() {
         "< 50 ms",
         &format!("{:.3} ms", widest.3),
         ok_scrape,
+    );
+    let decode_ratio = codec.last().unwrap().5 / codec[0].5;
+    let ok_codec = decode_ratio <= 1.5;
+    bench::row(
+        "wire decode ns/B, 320 vs 2 files",
+        "<= 1.5x",
+        &format!("{decode_ratio:.2}x"),
+        ok_codec,
     );
 
     bench::save_json(
@@ -157,16 +217,31 @@ fn main() {
                     })
                 })
                 .collect::<Vec<_>>(),
+            "wire_codec": codec
+                .iter()
+                .map(|(files, bytes, encode_us, decode_us, encode_ns_b, decode_ns_b)| {
+                    serde_json::json!({
+                        "files_per_message": files,
+                        "line_bytes": bytes,
+                        "encode_us": encode_us,
+                        "decode_us": decode_us,
+                        "encode_ns_per_byte": encode_ns_b,
+                        "decode_ns_per_byte": decode_ns_b,
+                    })
+                })
+                .collect::<Vec<_>>(),
             "accept": {
                 "ingest_rate_ratio_64_vs_1": widest.1 / single,
                 "ok_rate": ok_rate,
                 "http_scrape_ms_64": widest.3,
                 "ok_scrape": ok_scrape,
+                "decode_ns_per_byte_ratio_320_vs_2": decode_ratio,
+                "ok_codec": ok_codec,
             },
         }),
     );
 
-    if !(ok_rate && ok_scrape) {
+    if !(ok_rate && ok_scrape && ok_codec) {
         std::process::exit(1);
     }
 }

@@ -139,8 +139,11 @@ fn malformed_ingest_lines_are_counted_not_fatal() {
             .unwrap();
         s.flush().unwrap();
     }
+    // The pump may drain the valid message before the ingest thread has
+    // read the two lines after it, so wait for the error count as well.
     let body = await_metrics(&daemon, |b| {
         metric_value(b, "tfdarshan_diffs_ingested_total ").as_deref() == Some("1")
+            && metric_value(b, "tfdarshan_ingest_parse_errors_total ").as_deref() == Some("4")
     });
     // All four bad lines (not UTF-8, garbage, missing fields, too deep)
     // count as parse errors; the valid message landed.

@@ -518,19 +518,22 @@ impl<M: Media> FileSystem for Fs<M> {
                 self.media.meta(MetaOp::Create);
                 // Re-check after the timed metadata ops: a concurrent
                 // creator may have won the race meanwhile (all openers of
-                // a collective create must share one inode).
+                // a collective create must share one inode, and an
+                // exclusive create that lost the race fails).
                 let id = self.ns.alloc_inode();
                 let device_index = id as usize % self.alloc.len();
-                self.ns
-                    .get_or_insert(path, || FileNode {
-                        id,
-                        size: 0,
-                        content: FileContent::Literal(Vec::new()),
-                        extent_base: 0,
-                        extent_reserved: 0,
-                        device_index,
-                    })
-                    .0
+                let (node, created) = self.ns.get_or_insert(path, || FileNode {
+                    id,
+                    size: 0,
+                    content: FileContent::Literal(Vec::new()),
+                    extent_base: 0,
+                    extent_reserved: 0,
+                    device_index,
+                });
+                if opts.create_new && !created {
+                    return Err(FsError::Exists);
+                }
+                node
             }
         };
         Ok(self.ns.open_handle(node))

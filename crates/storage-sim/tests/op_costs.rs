@@ -13,8 +13,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simrt::Sim;
 use storage_sim::{
-    Device, DeviceSpec, FileSystem, LocalFs, LocalFsParams, LustreFs, LustreParams, OpenOptions,
-    PageCache, WritePayload,
+    Device, DeviceSpec, FileSystem, FsError, LocalFs, LocalFsParams, LustreFs, LustreParams,
+    OpenOptions, PageCache, WritePayload,
 };
 
 const MIB: u64 = 1 << 20;
@@ -165,4 +165,46 @@ fn local_op_costs_are_pinned() {
 fn lustre_op_costs_are_pinned() {
     let fs = LustreFs::new(LustreParams::default(), Arc::new(PageCache::new(1 << 30)));
     assert_eq!(costs(fs), LUSTRE);
+}
+
+/// Two carriers race an exclusive create (`O_CREAT | O_EXCL`) of one
+/// missing path: the first to insert the inode wins, the other gets
+/// `Exists`, on both cost models. On `LocalFs` both openers sleep the
+/// create latency between their lookup and the insert, so the loser
+/// must be caught at the insert.
+fn exclusive_create_race(fs: Arc<dyn FileSystem>) -> Vec<Result<(), FsError>> {
+    let sim = Sim::new();
+    let results = Arc::new(Mutex::new(Vec::new()));
+    for i in 0..2 {
+        let (fs, results) = (fs.clone(), results.clone());
+        sim.spawn(format!("excl{i}"), move || {
+            let opts = OpenOptions {
+                write: true,
+                create: true,
+                create_new: true,
+                ..Default::default()
+            };
+            let r = fs.open("/excl", &opts).map(|h| fs.close(h).unwrap());
+            results.lock().push(r);
+        });
+    }
+    sim.run();
+    let r = results.lock().clone();
+    r
+}
+
+#[test]
+fn exclusive_create_race_has_one_winner_on_both_models() {
+    let local: Arc<dyn FileSystem> = LocalFs::new(
+        Device::new(DeviceSpec::hdd("hdd0")),
+        Arc::new(PageCache::new(1 << 30)),
+        LocalFsParams::default(),
+    );
+    let lustre = LustreFs::new(LustreParams::default(), Arc::new(PageCache::new(1 << 30)));
+    for fs in [local, lustre] {
+        assert_eq!(
+            exclusive_create_race(fs),
+            vec![Ok(()), Err(FsError::Exists)]
+        );
+    }
 }

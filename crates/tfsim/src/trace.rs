@@ -154,12 +154,16 @@ impl XSpace {
                         "name": e.name,
                         "ts": e.start_ns as f64 / 1e3,
                         "dur": e.dur_ns as f64 / 1e3,
-                        "args": args,
+                        "args": serde_json::Value::Object(args),
                     }));
                 }
             }
         }
-        serde_json::json!({ "traceEvents": events })
+        // Built by hand: `json!` would render `events` to text and parse
+        // it back.
+        let mut trace = serde_json::Map::new();
+        trace.insert("traceEvents".to_string(), serde_json::Value::Array(events));
+        serde_json::Value::Object(trace)
     }
 }
 
