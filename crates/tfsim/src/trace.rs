@@ -159,11 +159,7 @@ impl XSpace {
                 }
             }
         }
-        // Built by hand: `json!` would render `events` to text and parse
-        // it back.
-        let mut trace = serde_json::Map::new();
-        trace.insert("traceEvents".to_string(), serde_json::Value::Array(events));
-        serde_json::Value::Object(trace)
+        serde_json::json!({ "traceEvents": events })
     }
 }
 
