@@ -4,10 +4,11 @@
 //! tf-Darshan to retrieve relevant statistics").
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use darshan_sim::{
-    DxtOp, DxtSegment, PosixCounter as P, PosixFCounter as PF, PosixRecord, Snapshot,
-    StdioCounter as S, StdioRecord, SIZE_BUCKET_LABELS,
+    DxtOp, DxtSegment, Module, PosixCounter as P, PosixFCounter as PF, PosixRecord, Record,
+    Snapshot, StdioCounter as S, StdioRecord, SIZE_BUCKET_LABELS,
 };
 use serde::{Deserialize, Serialize};
 
@@ -23,7 +24,7 @@ pub struct SnapshotDiff {
     /// STDIO per-file deltas.
     pub stdio: Vec<StdioRecord>,
     /// Record-id → path (shared with the stop snapshot, zero-copy).
-    pub names: std::sync::Arc<HashMap<u64, String>>,
+    pub names: Arc<HashMap<u64, String>>,
     /// Either module hit its record-memory cap.
     pub partial: bool,
 }
@@ -34,65 +35,41 @@ pub struct SnapshotDiff {
 // changed records pay the clone + subtraction, making the whole diff
 // O(total) pointer chases + O(changed) record work. Records that *were*
 // changed find their baseline by binary search (snapshots are sorted by
-// record id). The any-nonzero `active` filter is kept for changed records
-// whose integer counters happen not to move (e.g. only timestamps did).
+// record id); integer counters and the module's cumulative times subtract.
+// The any-nonzero filter drops changed records whose integer counters did
+// not move (e.g. only timestamps did).
 
-fn diff_posix(start: &Snapshot, stop: &Snapshot) -> Vec<PosixRecord> {
-    let mut out = Vec::new();
-    for r in stop.posix.iter() {
-        if r.dirty_epoch <= start.epoch {
-            continue; // unchanged since `start`: zero delta
-        }
-        let mut d = (**r).clone();
-        if let Ok(i) = start.posix.binary_search_by_key(&r.rec_id, |x| x.rec_id) {
-            let b = &start.posix[i];
-            for i in 0..d.counters.len() {
-                d.counters[i] -= b.counters[i];
+fn diff_module<M: Module>(
+    start: &[Arc<Record<M>>],
+    stop: &[Arc<Record<M>>],
+    start_epoch: u64,
+) -> Vec<Record<M>> {
+    stop.iter()
+        .filter(|r| r.dirty_epoch > start_epoch) // else unchanged: zero delta
+        .filter_map(|r| {
+            let mut d = (**r).clone();
+            if let Ok(i) = start.binary_search_by_key(&r.rec_id, |x| x.rec_id) {
+                let b = &start[i];
+                for (c, base) in d.counters.as_mut().iter_mut().zip(b.counters.as_ref()) {
+                    *c -= base;
+                }
+                // Durations subtract; timestamps keep the stop values (last
+                // observed) — matching how tf-Darshan reports windows.
+                for t in M::TIMES {
+                    *d.fget_mut(t) -= b.fget(t);
+                }
             }
-            // Durations subtract; timestamps keep the stop values (last
-            // observed) — matching how tf-Darshan reports windows.
-            for c in [
-                PF::POSIX_F_READ_TIME,
-                PF::POSIX_F_WRITE_TIME,
-                PF::POSIX_F_META_TIME,
-            ] {
-                d.fcounters[c as usize] -= b.fcounters[c as usize];
-            }
-        }
-        let active = d.counters.iter().any(|c| *c != 0);
-        if active {
-            out.push(d);
-        }
-    }
-    out
-}
-
-fn diff_stdio(start: &Snapshot, stop: &Snapshot) -> Vec<StdioRecord> {
-    let mut out = Vec::new();
-    for r in stop.stdio.iter() {
-        if r.dirty_epoch <= start.epoch {
-            continue;
-        }
-        let mut d = (**r).clone();
-        if let Ok(i) = start.stdio.binary_search_by_key(&r.rec_id, |x| x.rec_id) {
-            let b = &start.stdio[i];
-            for i in 0..d.counters.len() {
-                d.counters[i] -= b.counters[i];
-            }
-        }
-        if d.counters.iter().any(|c| *c != 0) {
-            out.push(d);
-        }
-    }
-    out
+            d.counters.as_ref().iter().any(|c| *c != 0).then_some(d)
+        })
+        .collect()
 }
 
 /// Diff two snapshots taken from the same runtime (`start` first).
 pub fn diff(start: &Snapshot, stop: &Snapshot) -> SnapshotDiff {
     SnapshotDiff {
         window: (start.taken_at, stop.taken_at),
-        posix: diff_posix(start, stop),
-        stdio: diff_stdio(start, stop),
+        posix: diff_module(&start.posix, &stop.posix, start.epoch),
+        stdio: diff_module(&start.stdio, &stop.stdio, start.epoch),
         names: stop.names.clone(),
         partial: stop.posix_partial || stop.stdio_partial,
     }
@@ -334,7 +311,7 @@ pub fn histogram_rows(hist: &[u64; 10]) -> Vec<(String, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darshan_sim::{DarshanConfig, DarshanRuntime};
+    use darshan_sim::{DarshanConfig, DarshanRuntime, StdioFCounter as SF};
     use simrt::{Sim, SimTime};
 
     fn at(ms: u64) -> SimTime {
@@ -487,6 +464,46 @@ mod tests {
             assert_eq!(files.len(), 1);
             assert_eq!(files[0].path, "/d/x");
             assert_eq!(files[0].apparent_size, 4_000_000);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn stdio_diff_times_are_window_deltas() {
+        let sim = Sim::new();
+        sim.spawn("t", || {
+            let rt = DarshanRuntime::new(DarshanConfig::default());
+            let id = rt.stdio_open("/d/ckpt", at(0), at(1)).unwrap();
+            let s0 = rt.snapshot();
+            rt.stdio_write(id, 0, 1000, at(1), at(4));
+            let s1 = rt.snapshot();
+            rt.stdio_write(id, 1000, 1000, at(4), at(6));
+            let s2 = rt.snapshot();
+            let write_time = |d: &SnapshotDiff| d.stdio[0].fget(SF::STDIO_F_WRITE_TIME);
+            assert!((write_time(&diff(&s0, &s1)) - 0.003).abs() < 1e-12);
+            assert!((write_time(&diff(&s1, &s2)) - 0.002).abs() < 1e-12);
+            assert_eq!(diff(&s1, &s2).stdio[0].fget(SF::STDIO_F_META_TIME), 0.0);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn stdio_record_cap_marks_the_diff_partial() {
+        let sim = Sim::new();
+        sim.spawn("t", || {
+            let rt = DarshanRuntime::new(DarshanConfig {
+                max_records_per_module: 2,
+                ..Default::default()
+            });
+            let start = rt.snapshot();
+            assert!(rt.stdio_open("/d/a", at(0), at(0)).is_some());
+            assert!(rt.stdio_open("/d/b", at(0), at(0)).is_some());
+            assert!(rt.stdio_open("/d/c", at(0), at(0)).is_none());
+            let stop = rt.snapshot();
+            assert!(stop.stdio_partial && !stop.posix_partial);
+            let d = diff(&start, &stop);
+            assert!(d.partial);
+            assert_eq!(d.stdio.len(), 2);
         });
         sim.run();
     }

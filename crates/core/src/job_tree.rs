@@ -28,8 +28,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
-use darshan_sim::reduce::{fold_group, PosixFold, StdioFold};
+use darshan_sim::reduce::{fold_group, Fold};
 use darshan_sim::DxtSegment;
+use darshan_sim::{Posix, Stdio};
 use parking_lot::Mutex;
 use simrt::{EventCx, EventHandle, EventPoll, Sim};
 
@@ -79,8 +80,8 @@ pub struct TreeReduceStats {
 /// session metadata (names first-wins in rank order, window min/max,
 /// partial OR, DXT kept merge-sorted by completion time).
 struct ReduceNode {
-    posix: BTreeMap<u64, PosixFold>,
-    stdio: BTreeMap<u64, StdioFold>,
+    posix: BTreeMap<u64, Fold<Posix>>,
+    stdio: BTreeMap<u64, Fold<Stdio>>,
     names: Arc<HashMap<u64, String>>,
     window: (f64, f64),
     partial: bool,
@@ -106,13 +107,13 @@ impl ReduceNode {
             .diff
             .posix
             .iter()
-            .map(|r| (r.rec_id, PosixFold::leaf(r.clone())))
+            .map(|r| (r.rec_id, Fold::leaf(r.clone())))
             .collect();
         let stdio = s
             .diff
             .stdio
             .iter()
-            .map(|r| (r.rec_id, StdioFold::leaf(r.clone())))
+            .map(|r| (r.rec_id, Fold::leaf(r.clone())))
             .collect();
         let mut dxt = s.dxt.clone();
         if sort_dxt {
@@ -140,10 +141,10 @@ impl ReduceNode {
     fn absorb(&mut self, right: ReduceNode) -> u64 {
         let mut merges = 0u64;
         for (id, fold) in right.posix {
-            merges += fold_group(&mut self.posix, id, fold, PosixFold::absorb) as u64;
+            merges += fold_group(&mut self.posix, id, fold) as u64;
         }
         for (id, fold) in right.stdio {
-            merges += fold_group(&mut self.stdio, id, fold, StdioFold::absorb) as u64;
+            merges += fold_group(&mut self.stdio, id, fold) as u64;
         }
         let names = Arc::make_mut(&mut self.names);
         for (id, name) in right.names.iter() {
@@ -273,8 +274,8 @@ impl TreeStepper {
         debug_assert!(self.nodes.is_empty(), "finish before the last level");
         let job_diff = SnapshotDiff {
             window: root.window,
-            posix: root.posix.into_values().map(PosixFold::finish).collect(),
-            stdio: root.stdio.into_values().map(StdioFold::finish).collect(),
+            posix: root.posix.into_values().map(Fold::finish).collect(),
+            stdio: root.stdio.into_values().map(Fold::finish).collect(),
             names: root.names,
             partial: root.partial,
         };

@@ -1,14 +1,18 @@
 //! Darshan counter definitions and per-file records.
 //!
 //! Mirrors the layout of real Darshan 3.2 module records: each instrumented
-//! file gets one record holding a fixed array of integer counters and a
-//! fixed array of floating-point (timestamp/duration) counters. Counter
+//! file gets one [`Record<M>`] holding a fixed array of integer counters and
+//! a fixed array of floating-point (timestamp/duration) counters, where the
+//! [`Module`] impls [`Posix`] and [`Stdio`] say what differs. Counter
 //! names and semantics follow `darshan-posix-log-format.h` /
 //! `darshan-stdio-log-format.h` (trimmed to the set the paper's analyses
 //! use: operation counts, byte counts, access-size histogram, sequential/
 //! consecutive pattern counters, common access sizes, and timing).
 
 use std::collections::HashMap;
+use std::fmt::Debug;
+
+use self::{PosixCounter as P, PosixFCounter as PF, StdioCounter as S, StdioFCounter as SF};
 
 /// Generates a counter enum with a stable index and name table.
 macro_rules! counters {
@@ -27,7 +31,14 @@ macro_rules! counters {
 
             /// The Darshan counter name.
             pub fn name(self) -> &'static str {
-                match self { $(Self::$c => stringify!($c)),+ }
+                <Self as Counter>::NAMES[self as usize]
+            }
+        }
+
+        impl Counter for $name {
+            const NAMES: &'static [&'static str] = &[$(stringify!($c)),+];
+            fn idx(self) -> usize {
+                self as usize
             }
         }
     };
@@ -211,23 +222,159 @@ impl CommonValues {
     }
 }
 
-/// A POSIX-module file record.
+/// Per-record POSIX state outside the log format: the read/write pattern
+/// tracking and the common-access tracker.
+#[derive(Clone, Debug, Default)]
+pub struct PosixExt {
+    /// Access-size tracker (folded into ACCESS1..4 on reduction).
+    pub access_sizes: CommonValues,
+    /// End offsets of the last read and the last write (for SEQ/CONSEC).
+    pub last_end: [u64; 2],
+    /// Last operation was a write (for RW_SWITCHES).
+    pub last_was_write: Option<bool>,
+}
+
+/// A Darshan module: what differs between POSIX and STDIO. The record,
+/// the mutators, the fold, the diff and the log codec are written once
+/// over [`Record<M>`].
+pub trait Module: Clone + Debug + Send + Sync + 'static {
+    /// Integer counter enum.
+    type Counter: Counter;
+    /// Float counter enum.
+    type FCounter: Counter;
+    /// Inline integer counter storage, `[i64; Self::Counter::COUNT]`.
+    type Counters: Slots<i64>;
+    /// Inline float counter storage, `[f64; Self::FCounter::COUNT]`.
+    type FCounters: Slots<f64>;
+    /// Per-record state that is not part of the log format.
+    type Ext: Clone + Debug + Default + Send + Sync;
+    /// Prefix of the module's lines in `darshan-parser` text.
+    const NAME: &'static str;
+    /// The open counter.
+    const OPENS: Self::Counter;
+    /// Integer counters that combine by `max` instead of `+`.
+    const MAX: &'static [Self::Counter];
+    /// Float counters that combine by `max` (op-time extrema).
+    const FMAX: &'static [Self::FCounter];
+    /// `(start, end)` timestamp pairs, open first and close last: starts
+    /// combine by first non-zero minimum, ends by maximum.
+    const STAMPS: &'static [(Self::FCounter, Self::FCounter)];
+    /// Cumulative read, write and metadata time.
+    const TIMES: [Self::FCounter; 3];
+
+    /// The common-access hook: the record's access-size tracker and the
+    /// `(ACCESSi_ACCESS, ACCESSi_COUNT)` slots derived from it. Folds
+    /// skip those slots, defer them per contributor and replay them into
+    /// the tracker at the root; extraction and the fold root re-derive
+    /// them. The default, `None`, makes all of that a no-op.
+    fn common_accesses(_ext: &mut Self::Ext) -> Option<AccessSlots<'_, Self::Counter>> {
+        None
+    }
+}
+
+/// What [`Module::common_accesses`] returns: the tracker and its slots.
+pub type AccessSlots<'a, C> = (&'a mut CommonValues, &'static [(C, C); 4]);
+
+/// A counter enum: its Darshan names and each variant's array index.
+pub trait Counter: Copy + Eq + Debug + Send + Sync + 'static {
+    /// Darshan counter names in index order.
+    const NAMES: &'static [&'static str];
+    /// Array index of this counter.
+    fn idx(self) -> usize;
+}
+
+/// Inline counter storage: a fixed-size array. Stable Rust cannot write
+/// `[i64; M::COUNT]`, so each module names its array types.
+pub trait Slots<T>: Copy + PartialEq + Debug + Send + Sync + AsRef<[T]> + AsMut<[T]> {
+    /// All zeros.
+    const ZERO: Self;
+}
+
+impl<const N: usize> Slots<i64> for [i64; N] {
+    const ZERO: Self = [0; N];
+}
+
+impl<const N: usize> Slots<f64> for [f64; N] {
+    const ZERO: Self = [0.0; N];
+}
+
+/// The POSIX module.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Posix;
+
+impl Module for Posix {
+    type Counter = P;
+    type FCounter = PF;
+    type Counters = [i64; P::COUNT];
+    type FCounters = [f64; PF::COUNT];
+    type Ext = PosixExt;
+    const NAME: &'static str = "POSIX";
+    const OPENS: P = P::POSIX_OPENS;
+    const MAX: &'static [P] = &[P::POSIX_MAX_BYTE_READ, P::POSIX_MAX_BYTE_WRITTEN];
+    const FMAX: &'static [PF] = &[PF::POSIX_F_MAX_READ_TIME, PF::POSIX_F_MAX_WRITE_TIME];
+    const STAMPS: &'static [(PF, PF)] = {
+        use PF::*;
+        &[
+            (POSIX_F_OPEN_START_TIMESTAMP, POSIX_F_OPEN_END_TIMESTAMP),
+            (POSIX_F_READ_START_TIMESTAMP, POSIX_F_READ_END_TIMESTAMP),
+            (POSIX_F_WRITE_START_TIMESTAMP, POSIX_F_WRITE_END_TIMESTAMP),
+            (POSIX_F_CLOSE_START_TIMESTAMP, POSIX_F_CLOSE_END_TIMESTAMP),
+        ]
+    };
+    const TIMES: [PF; 3] = {
+        use PF::*;
+        [POSIX_F_READ_TIME, POSIX_F_WRITE_TIME, POSIX_F_META_TIME]
+    };
+
+    fn common_accesses(ext: &mut PosixExt) -> Option<AccessSlots<'_, P>> {
+        const SLOTS: [(P, P); 4] = [
+            (P::POSIX_ACCESS1_ACCESS, P::POSIX_ACCESS1_COUNT),
+            (P::POSIX_ACCESS2_ACCESS, P::POSIX_ACCESS2_COUNT),
+            (P::POSIX_ACCESS3_ACCESS, P::POSIX_ACCESS3_COUNT),
+            (P::POSIX_ACCESS4_ACCESS, P::POSIX_ACCESS4_COUNT),
+        ];
+        Some((&mut ext.access_sizes, &SLOTS))
+    }
+}
+
+/// The STDIO module.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Stdio;
+
+impl Module for Stdio {
+    type Counter = S;
+    type FCounter = SF;
+    type Counters = [i64; S::COUNT];
+    type FCounters = [f64; SF::COUNT];
+    type Ext = ();
+    const NAME: &'static str = "STDIO";
+    const OPENS: S = S::STDIO_OPENS;
+    const MAX: &'static [S] = &[S::STDIO_MAX_BYTE_READ, S::STDIO_MAX_BYTE_WRITTEN];
+    const FMAX: &'static [SF] = &[];
+    const STAMPS: &'static [(SF, SF)] = {
+        use SF::*;
+        &[
+            (STDIO_F_OPEN_START_TIMESTAMP, STDIO_F_OPEN_END_TIMESTAMP),
+            (STDIO_F_CLOSE_START_TIMESTAMP, STDIO_F_CLOSE_END_TIMESTAMP),
+        ]
+    };
+    const TIMES: [SF; 3] = {
+        use SF::*;
+        [STDIO_F_READ_TIME, STDIO_F_WRITE_TIME, STDIO_F_META_TIME]
+    };
+}
+
+/// A module file record.
 #[derive(Clone, Debug)]
-pub struct PosixRecord {
+pub struct Record<M: Module> {
     /// Darshan record id (hash of the file path).
     pub rec_id: u64,
     /// Integer counters.
-    pub counters: [i64; PosixCounter::COUNT],
+    pub counters: M::Counters,
     /// Float counters.
-    pub fcounters: [f64; PosixFCounter::COUNT],
-    /// Access-size tracker (folded into ACCESS1..4 on reduction).
-    pub access_sizes: CommonValues,
-    /// End offset of the last read (pattern detection).
-    pub last_read_end: u64,
-    /// End offset of the last write.
-    pub last_write_end: u64,
-    /// Last operation was a write (for RW_SWITCHES).
-    pub last_was_write: Option<bool>,
+    pub fcounters: M::FCounters,
+    /// Module-specific state outside the log format.
+    pub ext: M::Ext,
     /// Runtime bookkeeping: the extraction epoch during which this record
     /// was last mutated. Not part of the Darshan log format (the encoder
     /// serializes explicit fields only); `DarshanRuntime::snapshot` uses it
@@ -235,107 +382,73 @@ pub struct PosixRecord {
     pub dirty_epoch: u64,
 }
 
-impl PosixRecord {
+/// A POSIX-module file record.
+pub type PosixRecord = Record<Posix>;
+
+/// An STDIO-module file record.
+pub type StdioRecord = Record<Stdio>;
+
+impl<M: Module> Record<M> {
     /// Fresh record for `rec_id`.
     pub fn new(rec_id: u64) -> Self {
-        PosixRecord {
+        Record {
             rec_id,
-            counters: [0; PosixCounter::COUNT],
-            fcounters: [0.0; PosixFCounter::COUNT],
-            access_sizes: CommonValues::default(),
-            last_read_end: 0,
-            last_write_end: 0,
-            last_was_write: None,
+            counters: M::Counters::ZERO,
+            fcounters: M::FCounters::ZERO,
+            ext: M::Ext::default(),
             dirty_epoch: 0,
         }
     }
 
     /// Read an integer counter.
-    pub fn get(&self, c: PosixCounter) -> i64 {
-        self.counters[c as usize]
+    pub fn get(&self, c: M::Counter) -> i64 {
+        self.counters.as_ref()[c.idx()]
     }
 
     /// Mutate an integer counter.
-    pub fn get_mut(&mut self, c: PosixCounter) -> &mut i64 {
-        &mut self.counters[c as usize]
+    pub fn get_mut(&mut self, c: M::Counter) -> &mut i64 {
+        &mut self.counters.as_mut()[c.idx()]
     }
 
     /// Read a float counter.
-    pub fn fget(&self, c: PosixFCounter) -> f64 {
-        self.fcounters[c as usize]
+    pub fn fget(&self, c: M::FCounter) -> f64 {
+        self.fcounters.as_ref()[c.idx()]
     }
 
     /// Mutate a float counter.
-    pub fn fget_mut(&mut self, c: PosixFCounter) -> &mut f64 {
-        &mut self.fcounters[c as usize]
+    pub fn fget_mut(&mut self, c: M::FCounter) -> &mut f64 {
+        &mut self.fcounters.as_mut()[c.idx()]
+    }
+
+    /// Record an operation over `[s, e]` on a `(start, end)` timestamp
+    /// pair: the first start sticks, the last end wins.
+    pub(crate) fn stamp(&mut self, (start, end): (M::FCounter, M::FCounter), s: f64, e: f64) {
+        if self.fget(start) == 0.0 {
+            *self.fget_mut(start) = s;
+        }
+        *self.fget_mut(end) = e;
+    }
+
+    /// An extraction copy: cloned, with the common accesses reduced.
+    pub(crate) fn reduced(&self) -> std::sync::Arc<Self> {
+        let mut copy = self.clone();
+        copy.reduce_common_accesses();
+        std::sync::Arc::new(copy)
     }
 
     /// Fold the access-size tracker into the ACCESS1..4 counters (done at
-    /// shutdown/snapshot, as real Darshan does in its reduction step).
+    /// shutdown/snapshot, as real Darshan does in its reduction step). A
+    /// no-op for modules without common-access slots.
     pub fn reduce_common_accesses(&mut self) {
-        use PosixCounter::*;
-        let top = self.access_sizes.top(4);
-        let slots = [
-            (POSIX_ACCESS1_ACCESS, POSIX_ACCESS1_COUNT),
-            (POSIX_ACCESS2_ACCESS, POSIX_ACCESS2_COUNT),
-            (POSIX_ACCESS3_ACCESS, POSIX_ACCESS3_COUNT),
-            (POSIX_ACCESS4_ACCESS, POSIX_ACCESS4_COUNT),
-        ];
-        for (i, (a, c)) in slots.into_iter().enumerate() {
-            if let Some((val, cnt)) = top.get(i) {
-                *self.get_mut(a) = *val as i64;
-                *self.get_mut(c) = *cnt as i64;
-            } else {
-                *self.get_mut(a) = 0;
-                *self.get_mut(c) = 0;
-            }
+        let Some((tracker, slots)) = M::common_accesses(&mut self.ext) else {
+            return;
+        };
+        let top = tracker.top(4);
+        for (i, &(a, c)) in slots.iter().enumerate() {
+            let (val, cnt) = top.get(i).map_or((0, 0), |&(v, n)| (v as i64, n as i64));
+            *self.get_mut(a) = val;
+            *self.get_mut(c) = cnt;
         }
-    }
-}
-
-/// An STDIO-module file record.
-#[derive(Clone, Debug)]
-pub struct StdioRecord {
-    /// Darshan record id (hash of the file path).
-    pub rec_id: u64,
-    /// Integer counters.
-    pub counters: [i64; StdioCounter::COUNT],
-    /// Float counters.
-    pub fcounters: [f64; StdioFCounter::COUNT],
-    /// Runtime bookkeeping: extraction epoch of the last mutation (see
-    /// [`PosixRecord::dirty_epoch`]).
-    pub dirty_epoch: u64,
-}
-
-impl StdioRecord {
-    /// Fresh record for `rec_id`.
-    pub fn new(rec_id: u64) -> Self {
-        StdioRecord {
-            rec_id,
-            counters: [0; StdioCounter::COUNT],
-            fcounters: [0.0; StdioFCounter::COUNT],
-            dirty_epoch: 0,
-        }
-    }
-
-    /// Read an integer counter.
-    pub fn get(&self, c: StdioCounter) -> i64 {
-        self.counters[c as usize]
-    }
-
-    /// Mutate an integer counter.
-    pub fn get_mut(&mut self, c: StdioCounter) -> &mut i64 {
-        &mut self.counters[c as usize]
-    }
-
-    /// Read a float counter.
-    pub fn fget(&self, c: StdioFCounter) -> f64 {
-        self.fcounters[c as usize]
-    }
-
-    /// Mutate a float counter.
-    pub fn fget_mut(&mut self, c: StdioFCounter) -> &mut f64 {
-        &mut self.fcounters[c as usize]
     }
 }
 
@@ -418,9 +531,9 @@ mod tests {
     fn reduce_common_accesses_fills_slots() {
         let mut r = PosixRecord::new(1);
         for _ in 0..3 {
-            r.access_sizes.add(88_000);
+            r.ext.access_sizes.add(88_000);
         }
-        r.access_sizes.add(0);
+        r.ext.access_sizes.add(0);
         r.reduce_common_accesses();
         assert_eq!(r.get(PosixCounter::POSIX_ACCESS1_ACCESS), 88_000);
         assert_eq!(r.get(PosixCounter::POSIX_ACCESS1_COUNT), 3);

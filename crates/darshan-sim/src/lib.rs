@@ -35,8 +35,8 @@ use parking_lot::Mutex;
 use posix_sim::{GotError, Process};
 
 pub use counters::{
-    record_id, size_bucket, CommonValues, PosixCounter, PosixFCounter, PosixRecord, StdioCounter,
-    StdioFCounter, StdioRecord, SIZE_BUCKET_LABELS,
+    record_id, size_bucket, CommonValues, Module, Posix, PosixCounter, PosixFCounter, PosixRecord,
+    Record, Stdio, StdioCounter, StdioFCounter, StdioRecord, SIZE_BUCKET_LABELS,
 };
 pub use log::{DarshanLog, LogError};
 pub use reduce::reduce_job;

@@ -14,7 +14,7 @@
 //! names:  count u32, then per name: rec_id u64, len u32, utf8 bytes
 //! posix:  partial u8, count u32, then per record:
 //!         rec_id u64, counters [i64; N], fcounters [f64; M]
-//! stdio:  partial u8, count u32, same shape
+//! stdio:  partial u8, count u32, same shape (one codec per `Module`)
 //! dxt:    count u32, then per file: rec_id u64, nsegs u32, then per seg:
 //!         op u8, rank u32, offset u64, length u64, start f64, end f64
 //! ```
@@ -23,8 +23,7 @@ use std::collections::HashMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::counters::{PosixCounter, PosixRecord, StdioCounter, StdioRecord};
-use crate::counters::{PosixFCounter, StdioFCounter};
+use crate::counters::{Counter, Module, PosixRecord, Record, StdioRecord};
 use crate::runtime::{DxtOp, DxtSegment};
 
 const MAGIC: &[u8; 4] = b"DSIM";
@@ -100,29 +99,8 @@ impl DarshanLog {
             b.put_slice(name.as_bytes());
         }
 
-        b.put_u8(self.posix_partial as u8);
-        b.put_u32_le(self.posix.len() as u32);
-        for r in &self.posix {
-            b.put_u64_le(r.rec_id);
-            for c in &r.counters {
-                b.put_i64_le(*c);
-            }
-            for c in &r.fcounters {
-                b.put_f64_le(*c);
-            }
-        }
-
-        b.put_u8(self.stdio_partial as u8);
-        b.put_u32_le(self.stdio.len() as u32);
-        for r in &self.stdio {
-            b.put_u64_le(r.rec_id);
-            for c in &r.counters {
-                b.put_i64_le(*c);
-            }
-            for c in &r.fcounters {
-                b.put_f64_le(*c);
-            }
-        }
+        put_section(&mut b, self.posix_partial, &self.posix);
+        put_section(&mut b, self.stdio_partial, &self.stdio);
 
         let mut dxt: Vec<(&u64, &Vec<DxtSegment>)> = self.dxt.iter().collect();
         dxt.sort_by_key(|(id, _)| **id);
@@ -147,13 +125,6 @@ impl DarshanLog {
 
     /// Parse from bytes.
     pub fn decode(mut data: &[u8]) -> Result<DarshanLog, LogError> {
-        fn need(data: &[u8], n: usize) -> Result<(), LogError> {
-            if data.remaining() < n {
-                Err(LogError::Truncated)
-            } else {
-                Ok(())
-            }
-        }
         need(data, 8)?;
         let mut magic = [0u8; 4];
         data.copy_to_slice(&mut magic);
@@ -164,15 +135,7 @@ impl DarshanLog {
         if version != VERSION {
             return Err(LogError::BadVersion(version));
         }
-        // Preallocate `count` items of at least `item` encoded bytes each,
-        // but never more than the rest of the input can hold: counts come
-        // from the input, and a hostile one must not abort the process.
-        fn capacity(data: &[u8], count: usize, item: usize) -> usize {
-            count.min(data.remaining() / item)
-        }
         const NAME_MIN: usize = 8 + 4;
-        const POSIX_SIZE: usize = 8 + 8 * (PosixCounter::COUNT + PosixFCounter::COUNT);
-        const STDIO_SIZE: usize = 8 + 8 * (StdioCounter::COUNT + StdioFCounter::COUNT);
         const DXT_FILE_MIN: usize = 8 + 4;
         const SEGMENT_SIZE: usize = 1 + 4 + 16 + 16;
         need(data, 20)?;
@@ -194,37 +157,8 @@ impl DarshanLog {
             names.insert(id, name);
         }
 
-        need(data, 5)?;
-        let posix_partial = data.get_u8() != 0;
-        let n_posix = data.get_u32_le() as usize;
-        let mut posix = Vec::with_capacity(capacity(data, n_posix, POSIX_SIZE));
-        for _ in 0..n_posix {
-            need(data, POSIX_SIZE)?;
-            let mut r = PosixRecord::new(data.get_u64_le());
-            for c in r.counters.iter_mut() {
-                *c = data.get_i64_le();
-            }
-            for c in r.fcounters.iter_mut() {
-                *c = data.get_f64_le();
-            }
-            posix.push(r);
-        }
-
-        need(data, 5)?;
-        let stdio_partial = data.get_u8() != 0;
-        let n_stdio = data.get_u32_le() as usize;
-        let mut stdio = Vec::with_capacity(capacity(data, n_stdio, STDIO_SIZE));
-        for _ in 0..n_stdio {
-            need(data, STDIO_SIZE)?;
-            let mut r = StdioRecord::new(data.get_u64_le());
-            for c in r.counters.iter_mut() {
-                *c = data.get_i64_le();
-            }
-            for c in r.fcounters.iter_mut() {
-                *c = data.get_f64_le();
-            }
-            stdio.push(r);
-        }
+        let (posix_partial, posix) = get_section(&mut data)?;
+        let (stdio_partial, stdio) = get_section(&mut data)?;
 
         need(data, 4)?;
         let n_dxt = data.get_u32_le() as usize;
@@ -270,6 +204,7 @@ impl DarshanLog {
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let partial = self.posix_partial || self.stdio_partial;
         let _ = writeln!(out, "# darshan-sim log, nprocs={}", self.nprocs);
         let _ = writeln!(
             out,
@@ -277,40 +212,84 @@ impl DarshanLog {
             self.job_end - self.job_start,
             self.posix.len(),
             self.stdio.len(),
-            if self.posix_partial { " [PARTIAL]" } else { "" },
+            if partial { " [PARTIAL]" } else { "" },
         );
-        for r in &self.posix {
-            let name = self
-                .names
-                .get(&r.rec_id)
-                .map(String::as_str)
-                .unwrap_or("<unknown>");
-            for (i, c) in PosixCounter::ALL.iter().enumerate() {
-                if r.counters[i] != 0 {
-                    let _ = writeln!(out, "POSIX\t{name}\t{}\t{}", c.name(), r.counters[i]);
-                }
-            }
-        }
-        for r in &self.stdio {
-            let name = self
-                .names
-                .get(&r.rec_id)
-                .map(String::as_str)
-                .unwrap_or("<unknown>");
-            for (i, c) in StdioCounter::ALL.iter().enumerate() {
-                if r.counters[i] != 0 {
-                    let _ = writeln!(out, "STDIO\t{name}\t{}\t{}", c.name(), r.counters[i]);
-                }
-            }
-        }
+        section_text(&mut out, &self.names, &self.posix);
+        section_text(&mut out, &self.names, &self.stdio);
         out
+    }
+}
+
+/// `Truncated` unless at least `n` more bytes remain.
+fn need(data: &[u8], n: usize) -> Result<(), LogError> {
+    if data.remaining() < n {
+        Err(LogError::Truncated)
+    } else {
+        Ok(())
+    }
+}
+
+/// Preallocate `count` items of at least `item` encoded bytes each, but
+/// never more than the rest of the input can hold: counts come from the
+/// input, and a hostile one must not abort the process.
+fn capacity(data: &[u8], count: usize, item: usize) -> usize {
+    count.min(data.remaining() / item)
+}
+
+/// Encode one module section: partial flag, record count, then per
+/// record its id, integer counters and float counters.
+fn put_section<M: Module>(b: &mut BytesMut, partial: bool, records: &[Record<M>]) {
+    b.put_u8(partial as u8);
+    b.put_u32_le(records.len() as u32);
+    for r in records {
+        b.put_u64_le(r.rec_id);
+        for c in r.counters.as_ref() {
+            b.put_i64_le(*c);
+        }
+        for c in r.fcounters.as_ref() {
+            b.put_f64_le(*c);
+        }
+    }
+}
+
+/// Decode one module section written by [`put_section`].
+fn get_section<M: Module>(data: &mut &[u8]) -> Result<(bool, Vec<Record<M>>), LogError> {
+    let size = 8 + 8 * (M::Counter::NAMES.len() + M::FCounter::NAMES.len());
+    need(data, 5)?;
+    let partial = data.get_u8() != 0;
+    let n = data.get_u32_le() as usize;
+    let mut records = Vec::with_capacity(capacity(data, n, size));
+    for _ in 0..n {
+        need(data, size)?;
+        let mut r = Record::<M>::new(data.get_u64_le());
+        for c in r.counters.as_mut() {
+            *c = data.get_i64_le();
+        }
+        for c in r.fcounters.as_mut() {
+            *c = data.get_f64_le();
+        }
+        records.push(r);
+    }
+    Ok((partial, records))
+}
+
+/// One module's `darshan-parser` lines: every non-zero integer counter.
+fn section_text<M: Module>(out: &mut String, names: &HashMap<u64, String>, records: &[Record<M>]) {
+    use std::fmt::Write as _;
+    for r in records {
+        let name = names.get(&r.rec_id).map_or("<unknown>", String::as_str);
+        for (c, v) in M::Counter::NAMES.iter().zip(r.counters.as_ref()) {
+            if *v != 0 {
+                let _ = writeln!(out, "{}\t{name}\t{c}\t{v}", M::NAME);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::record_id;
+    use crate::counters::{record_id, PosixCounter, PosixFCounter, StdioCounter};
 
     fn sample_log() -> DarshanLog {
         let mut r = PosixRecord::new(record_id("/d/a"));
@@ -480,6 +459,20 @@ mod tests {
         bytes[first_op] = 1;
         let back = DarshanLog::decode(&bytes).unwrap();
         assert_eq!(back.dxt[&record_id("/d/a")][0].op, DxtOp::Write);
+    }
+
+    #[test]
+    fn summary_marks_a_partial_stdio_module() {
+        let mut log = sample_log();
+        assert!(log.stdio_partial && !log.posix_partial);
+        assert!(log
+            .summary()
+            .lines()
+            .nth(1)
+            .unwrap()
+            .ends_with(" [PARTIAL]"));
+        log.stdio_partial = false;
+        assert!(!log.summary().contains("[PARTIAL]"));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! and the runtime-extraction API that tf-Darshan adds (paper §III.C).
 //!
 //! Mirrors darshan-runtime's shape: a core that owns *name records*
-//! (record-id → path) and per-module record buffers with bounded memory;
+//! (record-id → path) and per-module record buffers with bounded memory,
+//! one `ModuleBuf<M>` per [`Module`] whose record creation, open, reopen,
+//! close and meta mutators and extraction copies are written once (only
+//! POSIX's read/write pattern tracking and DXT push are its own);
 //! modules update counters inline on every instrumented call; statistics
 //! reduction (e.g. folding the common-access-size tracker into the
 //! `ACCESS1..4` counters) happens at shutdown — or, new here, whenever a
@@ -35,8 +38,8 @@ use parking_lot::Mutex;
 use simrt::{sleep, SimTime, TaskId};
 
 use crate::counters::{
-    record_id, size_bucket, PosixCounter as P, PosixFCounter as PF, PosixRecord, StdioCounter as S,
-    StdioFCounter as SF, StdioRecord,
+    record_id, size_bucket, Module, Posix, PosixCounter as P, PosixRecord, Record, Stdio,
+    StdioCounter as S, StdioRecord,
 };
 
 /// Configuration of the Darshan runtime (environment variables in real
@@ -110,46 +113,9 @@ pub struct DxtSegment {
     pub rank: u32,
 }
 
-/// Internal: record types that carry a dirty-epoch stamp and know their
-/// extraction-time reduction.
-trait DirtyRecord: Clone {
-    fn id(&self) -> u64;
-    fn epoch(&self) -> u64;
-    fn set_epoch(&mut self, epoch: u64);
-    /// Reduction applied to the extracted copy (POSIX folds the
-    /// common-access tracker into ACCESS1..4; STDIO has none).
-    fn reduce(&mut self) {}
-}
-
-impl DirtyRecord for PosixRecord {
-    fn id(&self) -> u64 {
-        self.rec_id
-    }
-    fn epoch(&self) -> u64 {
-        self.dirty_epoch
-    }
-    fn set_epoch(&mut self, epoch: u64) {
-        self.dirty_epoch = epoch;
-    }
-    fn reduce(&mut self) {
-        self.reduce_common_accesses();
-    }
-}
-
-impl DirtyRecord for StdioRecord {
-    fn id(&self) -> u64 {
-        self.rec_id
-    }
-    fn epoch(&self) -> u64 {
-        self.dirty_epoch
-    }
-    fn set_epoch(&mut self, epoch: u64) {
-        self.dirty_epoch = epoch;
-    }
-}
-
-struct ModuleBuf<R> {
-    records: HashMap<u64, R>,
+#[derive(Default)]
+struct ModuleBuf<M: Module> {
+    records: HashMap<u64, Record<M>>,
     partial: bool,
     /// Ids dirtied since the last incremental extraction. Each id appears
     /// at most once: a record is listed iff `dirty_epoch > drained_epoch`.
@@ -158,52 +124,61 @@ struct ModuleBuf<R> {
     drained_epoch: u64,
 }
 
-impl<R: DirtyRecord> ModuleBuf<R> {
-    fn new() -> Self {
-        ModuleBuf {
-            records: HashMap::new(),
-            partial: false,
-            dirty: Vec::new(),
-            drained_epoch: 0,
-        }
-    }
-
+impl<M: Module> ModuleBuf<M> {
     /// Stamp `rec_id` dirty at `epoch` and return the live record.
-    fn touch(&mut self, rec_id: u64, epoch: u64) -> Option<&mut R> {
+    fn touch(&mut self, rec_id: u64, epoch: u64) -> Option<&mut Record<M>> {
         let r = self.records.get_mut(&rec_id)?;
-        if r.epoch() <= self.drained_epoch {
+        if r.dirty_epoch <= self.drained_epoch {
             self.dirty.push(rec_id);
         }
-        r.set_epoch(epoch);
+        r.dirty_epoch = epoch;
         Some(r)
+    }
+
+    /// Every record, copied and reduced, sorted by record id (the full
+    /// extraction), with the partial flag.
+    fn copy_all(&self) -> (Vec<Arc<Record<M>>>, bool) {
+        let mut v: Vec<Arc<Record<M>>> = self.records.values().map(Record::reduced).collect();
+        v.sort_by_key(|r| r.rec_id);
+        (v, self.partial)
+    }
+
+    /// Merge the dirty records into `baseline` (the incremental
+    /// extraction) and return it with the partial flag: O(dirty) copies
+    /// and reductions. Known records are replaced in place via binary
+    /// search; new records are collected first and folded in with a
+    /// single sort pass (an in-loop insert would corrupt the binary
+    /// search). Clean records keep their existing `Arc`, so snapshot
+    /// clones share them.
+    fn merge_into(
+        &mut self,
+        baseline: &mut Vec<Arc<Record<M>>>,
+        epoch: u64,
+    ) -> (Vec<Arc<Record<M>>>, bool) {
+        self.drained_epoch = epoch;
+        let mut fresh: Vec<Arc<Record<M>>> = Vec::new();
+        for id in std::mem::take(&mut self.dirty) {
+            let Some(live) = self.records.get(&id) else {
+                continue;
+            };
+            match baseline.binary_search_by_key(&id, |r| r.rec_id) {
+                Ok(i) => baseline[i] = live.reduced(),
+                Err(_) => fresh.push(live.reduced()),
+            }
+        }
+        if !fresh.is_empty() {
+            baseline.extend(fresh);
+            baseline.sort_by_key(|r| r.rec_id);
+        }
+        (baseline.clone(), self.partial)
     }
 }
 
-/// Merge a module's dirty records into its baseline: O(dirty) copies and
-/// reductions. Known records are replaced in place via binary search; new
-/// records are collected first and folded in with a single sort pass (an
-/// in-loop insert would corrupt the binary search). Clean records keep
-/// their existing `Arc`, so snapshot clones share them.
-fn merge_dirty<R: DirtyRecord>(baseline: &mut Vec<Arc<R>>, buf: &mut ModuleBuf<R>, epoch: u64) {
-    buf.drained_epoch = epoch;
-    if buf.dirty.is_empty() {
-        return;
-    }
-    let mut fresh: Vec<Arc<R>> = Vec::new();
-    for id in std::mem::take(&mut buf.dirty) {
-        let Some(live) = buf.records.get(&id) else {
-            continue;
-        };
-        let mut copy = live.clone();
-        copy.reduce();
-        match baseline.binary_search_by_key(&id, |r| r.id()) {
-            Ok(i) => baseline[i] = Arc::new(copy),
-            Err(_) => fresh.push(Arc::new(copy)),
-        }
-    }
-    if !fresh.is_empty() {
-        baseline.extend(fresh);
-        baseline.sort_by_key(|r| r.id());
+/// Raise a max-byte counter to the last byte of a transfer (none for an
+/// empty one).
+fn max_offset(cur: &mut i64, offset: u64, len: u64) {
+    if len > 0 {
+        *cur = (*cur).max((offset + len - 1) as i64);
     }
 }
 
@@ -216,6 +191,7 @@ struct Baseline {
 }
 
 /// Per-file DXT segment list.
+#[derive(Default)]
 struct DxtFile {
     /// Segments ordered by non-decreasing `end`. Folds arrive in
     /// completion order per thread; cross-thread flushes can interleave,
@@ -229,6 +205,7 @@ struct DxtFile {
     dirty_epoch: u64,
 }
 
+#[derive(Default)]
 struct DxtBuf {
     files: HashMap<u64, DxtFile>,
     total: usize,
@@ -346,8 +323,8 @@ pub struct DarshanRuntime {
     /// current value and advances it.
     epoch: AtomicU64,
     names: Mutex<Arc<HashMap<u64, String>>>,
-    posix: Mutex<ModuleBuf<PosixRecord>>,
-    stdio: Mutex<ModuleBuf<StdioRecord>>,
+    posix: Mutex<ModuleBuf<Posix>>,
+    stdio: Mutex<ModuleBuf<Stdio>>,
     baseline: Mutex<Baseline>,
     dxt: Mutex<DxtBuf>,
     gate: Gate,
@@ -367,17 +344,10 @@ impl DarshanRuntime {
             init_time: simrt::try_now().unwrap_or(SimTime::ZERO),
             epoch: AtomicU64::new(1),
             names: Mutex::new(Arc::new(HashMap::new())),
-            posix: Mutex::new(ModuleBuf::new()),
-            stdio: Mutex::new(ModuleBuf::new()),
-            baseline: Mutex::new(Baseline::default()),
-            dxt: Mutex::new(DxtBuf {
-                files: HashMap::new(),
-                total: 0,
-                truncated: false,
-                dirty: Vec::new(),
-                drained_epoch: 0,
-                marks: Arc::new(HashMap::new()),
-            }),
+            posix: Mutex::default(),
+            stdio: Mutex::default(),
+            baseline: Mutex::default(),
+            dxt: Mutex::default(),
             gate: Gate::default(),
             agg_bytes_read: AtomicU64::new(0),
             agg_bytes_written: AtomicU64::new(0),
@@ -445,130 +415,131 @@ impl DarshanRuntime {
         self.names.lock().get(&rec_id).cloned()
     }
 
-    // -- POSIX module -------------------------------------------------------
+    // -- module mutators, written once over `Module` ------------------------
 
-    /// Instrument an `open`. Returns the record id, or `None` if the module
-    /// is out of record memory (the caller still forwards the call).
-    pub fn posix_open(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
-        self.agg_opens.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.current_epoch();
-        let mut m = self.posix.lock();
+    /// Find or create the record for `path` (a new one is stamped dirty),
+    /// or `None` with the partial flag set once the module is out of
+    /// record memory. Record creation itself is pure bookkeeping here; the
+    /// new-record *time* cost is charged by the wrapper at the emission
+    /// site (this also runs inside event folds, which must not sleep).
+    fn ensure<M: Module>(&self, m: &mut ModuleBuf<M>, path: &str, epoch: u64) -> Option<u64> {
         let id = record_id(path);
         if !m.records.contains_key(&id) {
             if m.records.len() >= self.config.max_records_per_module {
                 m.partial = true;
                 return None;
             }
-            // Record creation itself is pure bookkeeping here; the
-            // new-record *time* cost is charged by the wrapper at the
-            // emission site (this method also runs inside event folds,
-            // which must not sleep).
             self.register_name(path);
-            m.records.insert(id, PosixRecord::new(id));
+            m.records.insert(id, Record::new(id));
+            m.touch(id, epoch);
         }
-        let r = m.touch(id, epoch).expect("record just ensured");
-        *r.get_mut(P::POSIX_OPENS) += 1;
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        if r.fget(PF::POSIX_F_OPEN_START_TIMESTAMP) == 0.0 {
-            *r.fget_mut(PF::POSIX_F_OPEN_START_TIMESTAMP) = s;
-        }
-        *r.fget_mut(PF::POSIX_F_OPEN_END_TIMESTAMP) = e;
-        *r.fget_mut(PF::POSIX_F_META_TIME) += e - s;
         Some(id)
+    }
+
+    /// Apply `f` to record `rec_id` of `buf`, stamping it dirty; `None`
+    /// (and no call) if the module has no such record.
+    fn with<M: Module, T>(
+        &self,
+        buf: &Mutex<ModuleBuf<M>>,
+        rec_id: u64,
+        f: impl FnOnce(&mut Record<M>) -> T,
+    ) -> Option<T> {
+        let epoch = self.current_epoch();
+        buf.lock().touch(rec_id, epoch).map(f)
+    }
+
+    /// Ensure the record for `path`, then apply `f` to it.
+    fn with_path<M: Module>(
+        &self,
+        buf: &Mutex<ModuleBuf<M>>,
+        path: &str,
+        f: impl FnOnce(&mut Record<M>),
+    ) -> Option<u64> {
+        let epoch = self.current_epoch();
+        let mut m = buf.lock();
+        let id = self.ensure(&mut m, path, epoch)?;
+        f(m.touch(id, epoch).expect("record just ensured"));
+        Some(id)
+    }
+
+    fn opened<M: Module>(&self, r: &mut Record<M>, t0: SimTime, t1: SimTime) {
+        *r.get_mut(M::OPENS) += 1;
+        let (s, e) = (self.rel(t0), self.rel(t1));
+        r.stamp(M::STAMPS[0], s, e);
+        *r.fget_mut(M::TIMES[2]) += e - s;
+    }
+
+    fn closed<M: Module>(&self, r: &mut Record<M>, t0: SimTime, t1: SimTime) {
+        let (s, e) = (self.rel(t0), self.rel(t1));
+        r.stamp(M::STAMPS[M::STAMPS.len() - 1], s, e);
+        *r.fget_mut(M::TIMES[2]) += e - s;
+    }
+
+    fn meta<M: Module>(&self, r: &mut Record<M>, counter: M::Counter, t0: SimTime, t1: SimTime) {
+        *r.get_mut(counter) += 1;
+        *r.fget_mut(M::TIMES[2]) += self.rel(t1) - self.rel(t0);
+    }
+
+    // -- POSIX module -------------------------------------------------------
+
+    /// Instrument an `open`. Returns the record id, or `None` if the module
+    /// is out of record memory (the caller still forwards the call).
+    pub fn posix_open(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
+        self.agg_opens.fetch_add(1, Ordering::Relaxed);
+        self.with_path(&self.posix, path, |r| self.opened(r, t0, t1))
     }
 
     /// Instrument a read of `len` bytes at `offset`.
     pub fn posix_read(&self, rec_id: u64, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
         self.agg_reads.fetch_add(1, Ordering::Relaxed);
         self.agg_bytes_read.fetch_add(len, Ordering::Relaxed);
-        let epoch = self.current_epoch();
-        let mut m = self.posix.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        *r.get_mut(P::POSIX_READS) += 1;
-        *r.get_mut(P::POSIX_BYTES_READ) += len as i64;
-        r.counters[P::POSIX_SIZE_READ_0_100 as usize + size_bucket(len)] += 1;
-        r.access_sizes.add(len);
-        if offset == r.last_read_end {
-            *r.get_mut(P::POSIX_CONSEC_READS) += 1;
-        }
-        if offset >= r.last_read_end {
-            *r.get_mut(P::POSIX_SEQ_READS) += 1;
-        }
-        r.last_read_end = offset + len;
-        if len > 0 {
-            let maxb = (offset + len - 1) as i64;
-            let cur = r.get_mut(P::POSIX_MAX_BYTE_READ);
-            *cur = (*cur).max(maxb);
-        }
-        if r.last_was_write == Some(true) {
-            *r.get_mut(P::POSIX_RW_SWITCHES) += 1;
-        }
-        r.last_was_write = Some(false);
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        if r.fget(PF::POSIX_F_READ_START_TIMESTAMP) == 0.0 {
-            *r.fget_mut(PF::POSIX_F_READ_START_TIMESTAMP) = s;
-        }
-        *r.fget_mut(PF::POSIX_F_READ_END_TIMESTAMP) = e;
-        *r.fget_mut(PF::POSIX_F_READ_TIME) += e - s;
-        let mx = r.fget_mut(PF::POSIX_F_MAX_READ_TIME);
-        *mx = mx.max(e - s);
-        drop(m);
-        self.dxt_push(rec_id, DxtOp::Read, offset, len, t0, t1);
+        self.posix_io(rec_id, DxtOp::Read, offset, len, t0, t1);
     }
 
     /// Instrument a write.
     pub fn posix_write(&self, rec_id: u64, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
         self.agg_writes.fetch_add(1, Ordering::Relaxed);
         self.agg_bytes_written.fetch_add(len, Ordering::Relaxed);
-        let epoch = self.current_epoch();
-        let mut m = self.posix.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        *r.get_mut(P::POSIX_WRITES) += 1;
-        *r.get_mut(P::POSIX_BYTES_WRITTEN) += len as i64;
-        r.counters[P::POSIX_SIZE_WRITE_0_100 as usize + size_bucket(len)] += 1;
-        r.access_sizes.add(len);
-        if offset == r.last_write_end {
-            *r.get_mut(P::POSIX_CONSEC_WRITES) += 1;
+        self.posix_io(rec_id, DxtOp::Write, offset, len, t0, t1);
+    }
+
+    /// The POSIX read/write mutator: counts, the size histogram, the
+    /// SEQ/CONSEC and RW_SWITCHES pattern tracking, timing, and the DXT
+    /// segment — the part of the mutators that is POSIX's alone.
+    fn posix_io(&self, rec_id: u64, op: DxtOp, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
+        let (write, w) = (op == DxtOp::Write, (op == DxtOp::Write) as usize);
+        let found = self.with(&self.posix, rec_id, |r| {
+            *r.get_mut([P::POSIX_READS, P::POSIX_WRITES][w]) += 1;
+            *r.get_mut([P::POSIX_BYTES_READ, P::POSIX_BYTES_WRITTEN][w]) += len as i64;
+            let hist = [P::POSIX_SIZE_READ_0_100, P::POSIX_SIZE_WRITE_0_100][w];
+            r.counters[hist as usize + size_bucket(len)] += 1;
+            r.ext.access_sizes.add(len);
+            let last_end = &mut r.ext.last_end[w];
+            let (consec, seq) = (offset == *last_end, offset >= *last_end);
+            *last_end = offset + len;
+            *r.get_mut([P::POSIX_CONSEC_READS, P::POSIX_CONSEC_WRITES][w]) += consec as i64;
+            *r.get_mut([P::POSIX_SEQ_READS, P::POSIX_SEQ_WRITES][w]) += seq as i64;
+            let max_byte = [P::POSIX_MAX_BYTE_READ, P::POSIX_MAX_BYTE_WRITTEN][w];
+            max_offset(r.get_mut(max_byte), offset, len);
+            if r.ext.last_was_write == Some(!write) {
+                *r.get_mut(P::POSIX_RW_SWITCHES) += 1;
+            }
+            r.ext.last_was_write = Some(write);
+            let (s, e) = (self.rel(t0), self.rel(t1));
+            r.stamp(Posix::STAMPS[1 + w], s, e);
+            *r.fget_mut(Posix::TIMES[w]) += e - s;
+            let mx = r.fget_mut(Posix::FMAX[w]);
+            *mx = mx.max(e - s);
+        });
+        if found.is_some() {
+            self.dxt_push(rec_id, op, offset, len, t0, t1);
         }
-        if offset >= r.last_write_end {
-            *r.get_mut(P::POSIX_SEQ_WRITES) += 1;
-        }
-        r.last_write_end = offset + len;
-        if len > 0 {
-            let maxb = (offset + len - 1) as i64;
-            let cur = r.get_mut(P::POSIX_MAX_BYTE_WRITTEN);
-            *cur = (*cur).max(maxb);
-        }
-        if r.last_was_write == Some(false) {
-            *r.get_mut(P::POSIX_RW_SWITCHES) += 1;
-        }
-        r.last_was_write = Some(true);
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        if r.fget(PF::POSIX_F_WRITE_START_TIMESTAMP) == 0.0 {
-            *r.fget_mut(PF::POSIX_F_WRITE_START_TIMESTAMP) = s;
-        }
-        *r.fget_mut(PF::POSIX_F_WRITE_END_TIMESTAMP) = e;
-        *r.fget_mut(PF::POSIX_F_WRITE_TIME) += e - s;
-        let mx = r.fget_mut(PF::POSIX_F_MAX_WRITE_TIME);
-        *mx = mx.max(e - s);
-        drop(m);
-        self.dxt_push(rec_id, DxtOp::Write, offset, len, t0, t1);
     }
 
     /// Instrument a metadata operation (seek/stat/fsync) against an
     /// existing record.
     pub fn posix_meta(&self, rec_id: u64, counter: P, t0: SimTime, t1: SimTime) {
-        let epoch = self.current_epoch();
-        let mut m = self.posix.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        *r.get_mut(counter) += 1;
-        *r.fget_mut(PF::POSIX_F_META_TIME) += self.rel(t1) - self.rel(t0);
+        self.with(&self.posix, rec_id, |r| self.meta(r, counter, t0, t1));
     }
 
     /// Instrument a re-`open` of a path whose record id is already known
@@ -578,176 +549,69 @@ impl DarshanRuntime {
     /// (it cannot: records are never evicted).
     pub fn posix_reopen(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
         self.agg_opens.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.current_epoch();
-        let mut m = self.posix.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        *r.get_mut(P::POSIX_OPENS) += 1;
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        if r.fget(PF::POSIX_F_OPEN_START_TIMESTAMP) == 0.0 {
-            *r.fget_mut(PF::POSIX_F_OPEN_START_TIMESTAMP) = s;
-        }
-        *r.fget_mut(PF::POSIX_F_OPEN_END_TIMESTAMP) = e;
-        *r.fget_mut(PF::POSIX_F_META_TIME) += e - s;
+        self.with(&self.posix, rec_id, |r| self.opened(r, t0, t1));
     }
 
     /// Register a record for a file whose `open` predates attachment
     /// (OPENS stays 0; only subsequently observed operations count).
     pub fn posix_register_existing(&self, path: &str) -> Option<u64> {
-        let epoch = self.current_epoch();
-        let mut m = self.posix.lock();
-        let id = record_id(path);
-        if !m.records.contains_key(&id) {
-            if m.records.len() >= self.config.max_records_per_module {
-                m.partial = true;
-                return None;
-            }
-            self.register_name(path);
-            m.records.insert(id, PosixRecord::new(id));
-            m.touch(id, epoch);
-        }
-        Some(id)
+        self.ensure(&mut self.posix.lock(), path, self.current_epoch())
     }
 
     /// Instrument a `stat` by path (creates the record if needed, like
     /// Darshan's stat wrapper). Returns the record id so event folds can
     /// memoize it; `None` when the module is out of record memory.
     pub fn posix_stat_path(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
-        let epoch = self.current_epoch();
-        let mut m = self.posix.lock();
-        let id = record_id(path);
-        if !m.records.contains_key(&id) {
-            if m.records.len() >= self.config.max_records_per_module {
-                m.partial = true;
-                return None;
-            }
-            self.register_name(path);
-            m.records.insert(id, PosixRecord::new(id));
-        }
-        let r = m.touch(id, epoch).expect("record just ensured");
-        *r.get_mut(P::POSIX_STATS) += 1;
-        *r.fget_mut(PF::POSIX_F_META_TIME) += self.rel(t1) - self.rel(t0);
-        Some(id)
+        self.with_path(&self.posix, path, |r| self.meta(r, P::POSIX_STATS, t0, t1))
     }
 
     /// Instrument a `close`.
     pub fn posix_close(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
-        let epoch = self.current_epoch();
-        let mut m = self.posix.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        if r.fget(PF::POSIX_F_CLOSE_START_TIMESTAMP) == 0.0 {
-            *r.fget_mut(PF::POSIX_F_CLOSE_START_TIMESTAMP) = s;
-        }
-        *r.fget_mut(PF::POSIX_F_CLOSE_END_TIMESTAMP) = e;
-        *r.fget_mut(PF::POSIX_F_META_TIME) += e - s;
+        self.with(&self.posix, rec_id, |r| self.closed(r, t0, t1));
     }
 
     // -- STDIO module -------------------------------------------------------
 
     /// Instrument `fopen`.
     pub fn stdio_open(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
-        let epoch = self.current_epoch();
-        let mut m = self.stdio.lock();
-        let id = record_id(path);
-        if !m.records.contains_key(&id) {
-            if m.records.len() >= self.config.max_records_per_module {
-                m.partial = true;
-                return None;
-            }
-            // See posix_open: the time cost lives in the wrapper.
-            self.register_name(path);
-            m.records.insert(id, StdioRecord::new(id));
-        }
-        let r = m.touch(id, epoch).expect("record just ensured");
-        *r.get_mut(S::STDIO_OPENS) += 1;
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        if r.fget(SF::STDIO_F_OPEN_START_TIMESTAMP) == 0.0 {
-            *r.fget_mut(SF::STDIO_F_OPEN_START_TIMESTAMP) = s;
-        }
-        *r.fget_mut(SF::STDIO_F_OPEN_END_TIMESTAMP) = e;
-        *r.fget_mut(SF::STDIO_F_META_TIME) += e - s;
-        Some(id)
+        self.with_path(&self.stdio, path, |r| self.opened(r, t0, t1))
     }
 
     /// Instrument a re-`fopen` of a stream whose record id is already
     /// known (interned-id memo hit); see [`DarshanRuntime::posix_reopen`].
     pub fn stdio_reopen(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
-        let epoch = self.current_epoch();
-        let mut m = self.stdio.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        *r.get_mut(S::STDIO_OPENS) += 1;
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        if r.fget(SF::STDIO_F_OPEN_START_TIMESTAMP) == 0.0 {
-            *r.fget_mut(SF::STDIO_F_OPEN_START_TIMESTAMP) = s;
-        }
-        *r.fget_mut(SF::STDIO_F_OPEN_END_TIMESTAMP) = e;
-        *r.fget_mut(SF::STDIO_F_META_TIME) += e - s;
+        self.with(&self.stdio, rec_id, |r| self.opened(r, t0, t1));
     }
 
     /// Instrument `fread`.
     pub fn stdio_read(&self, rec_id: u64, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
-        let epoch = self.current_epoch();
-        let mut m = self.stdio.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        *r.get_mut(S::STDIO_READS) += 1;
-        *r.get_mut(S::STDIO_BYTES_READ) += len as i64;
-        if len > 0 {
-            let maxb = (pos + len - 1) as i64;
-            let cur = r.get_mut(S::STDIO_MAX_BYTE_READ);
-            *cur = (*cur).max(maxb);
-        }
-        *r.fget_mut(SF::STDIO_F_READ_TIME) += self.rel(t1) - self.rel(t0);
+        self.stdio_io(rec_id, false, pos, len, t0, t1);
     }
 
     /// Instrument `fwrite`.
     pub fn stdio_write(&self, rec_id: u64, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
-        let epoch = self.current_epoch();
-        let mut m = self.stdio.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        *r.get_mut(S::STDIO_WRITES) += 1;
-        *r.get_mut(S::STDIO_BYTES_WRITTEN) += len as i64;
-        if len > 0 {
-            let maxb = (pos + len - 1) as i64;
-            let cur = r.get_mut(S::STDIO_MAX_BYTE_WRITTEN);
-            *cur = (*cur).max(maxb);
-        }
-        *r.fget_mut(SF::STDIO_F_WRITE_TIME) += self.rel(t1) - self.rel(t0);
+        self.stdio_io(rec_id, true, pos, len, t0, t1);
+    }
+
+    fn stdio_io(&self, rec_id: u64, write: bool, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
+        let w = write as usize;
+        self.with(&self.stdio, rec_id, |r| {
+            *r.get_mut([S::STDIO_READS, S::STDIO_WRITES][w]) += 1;
+            *r.get_mut([S::STDIO_BYTES_READ, S::STDIO_BYTES_WRITTEN][w]) += len as i64;
+            let max_byte = [S::STDIO_MAX_BYTE_READ, S::STDIO_MAX_BYTE_WRITTEN][w];
+            max_offset(r.get_mut(max_byte), pos, len);
+            *r.fget_mut(Stdio::TIMES[w]) += self.rel(t1) - self.rel(t0);
+        });
     }
 
     /// Instrument `fseek` / `fflush`.
     pub fn stdio_meta(&self, rec_id: u64, counter: S, t0: SimTime, t1: SimTime) {
-        let epoch = self.current_epoch();
-        let mut m = self.stdio.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        *r.get_mut(counter) += 1;
-        *r.fget_mut(SF::STDIO_F_META_TIME) += self.rel(t1) - self.rel(t0);
+        self.with(&self.stdio, rec_id, |r| self.meta(r, counter, t0, t1));
     }
 
     /// Instrument `fclose`.
     pub fn stdio_close(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
-        let epoch = self.current_epoch();
-        let mut m = self.stdio.lock();
-        let Some(r) = m.touch(rec_id, epoch) else {
-            return;
-        };
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        if r.fget(SF::STDIO_F_CLOSE_START_TIMESTAMP) == 0.0 {
-            *r.fget_mut(SF::STDIO_F_CLOSE_START_TIMESTAMP) = s;
-        }
-        *r.fget_mut(SF::STDIO_F_CLOSE_END_TIMESTAMP) = e;
-        *r.fget_mut(SF::STDIO_F_META_TIME) += e - s;
+        self.with(&self.stdio, rec_id, |r| self.closed(r, t0, t1));
     }
 
     // -- DXT ----------------------------------------------------------------
@@ -772,10 +636,7 @@ impl DarshanRuntime {
             rank: self.config.rank,
         };
         let buf = &mut *d;
-        let f = buf.files.entry(rec_id).or_insert_with(|| DxtFile {
-            segs: Vec::new(),
-            dirty_epoch: 0,
-        });
+        let f = buf.files.entry(rec_id).or_default();
         if f.dirty_epoch <= buf.drained_epoch {
             buf.dirty.push(rec_id);
         }
@@ -871,18 +732,35 @@ impl DarshanRuntime {
     /// `snapshot_cost_per_record × dirty_count`; the first snapshot (all
     /// records dirty) costs exactly what the legacy full copy did.
     pub fn snapshot(&self) -> Snapshot {
+        self.extract(false)
+    }
+
+    /// Legacy full extraction: deep-copy every record regardless of
+    /// dirtiness, charging `snapshot_cost_per_record × total_records`.
+    /// Kept as the `ablation_snapshot` comparison arm and the equivalence
+    /// oracle for the incremental path. It does not advance the baseline
+    /// or drain dirty state, but it *does* open a new extraction epoch so
+    /// diffs spanning it stay correct.
+    pub fn snapshot_full(&self) -> Snapshot {
+        self.extract(true)
+    }
+
+    fn extract(&self, full: bool) -> Snapshot {
         // Complete the event stream first: any operation this thread
         // finished but has not yet flushed must be folded into the module
         // buffers before they are copied. Other threads' buffers drained
         // when those threads descheduled.
         probe::flush_current_thread();
-        // Extraction copies the dirty records under the module locks:
-        // charge for exactly those copies while instrumented I/O stalls
-        // at the gate.
-        let dirty = self.posix.lock().dirty.len() + self.stdio.lock().dirty.len();
-        if dirty > 0 && !self.config.snapshot_cost_per_record.is_zero() {
+        // Extraction copies records under the module locks: charge for
+        // exactly those copies while instrumented I/O stalls at the gate.
+        let copies = if full {
+            self.posix_record_count() + self.stdio_record_count()
+        } else {
+            self.dirty_record_count()
+        };
+        if copies > 0 && !self.config.snapshot_cost_per_record.is_zero() {
             self.gate.close();
-            sleep(self.config.snapshot_cost_per_record * dirty as u32);
+            sleep(self.config.snapshot_cost_per_record * copies as u32);
             self.gate.open();
         }
         let taken_at = self.rel(simrt::now());
@@ -890,21 +768,29 @@ impl DarshanRuntime {
         // flag are read under the same guard (the seed re-locked for the
         // flag, racing a concurrent record-cap overflow).
         let mut bl = self.baseline.lock();
-        let mut pm = self.posix.lock();
-        let mut sm = self.stdio.lock();
+        let (mut pm, mut sm) = (self.posix.lock(), self.stdio.lock());
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-        merge_dirty(&mut bl.posix, &mut pm, epoch);
-        merge_dirty(&mut bl.stdio, &mut sm, epoch);
-        let posix_partial = pm.partial;
-        let stdio_partial = sm.partial;
-        drop(sm);
-        drop(pm);
-        let (dxt_segments, dxt_watermarks) = self.capture_dxt_marks(epoch);
+        let ((posix, posix_partial), (stdio, stdio_partial)) = if full {
+            (pm.copy_all(), sm.copy_all())
+        } else {
+            (
+                pm.merge_into(&mut bl.posix, epoch),
+                sm.merge_into(&mut bl.stdio, epoch),
+            )
+        };
+        drop((pm, sm));
+        let (dxt_segments, dxt_watermarks) = if full {
+            let d = self.dxt.lock();
+            let marks = d.files.iter().map(|(id, f)| (*id, f.segs.len()));
+            (d.total, Arc::new(marks.collect()))
+        } else {
+            self.capture_dxt_marks(epoch)
+        };
         Snapshot {
             taken_at,
             epoch,
-            posix: bl.posix.clone(),
-            stdio: bl.stdio.clone(),
+            posix,
+            stdio,
             names: self.names.lock().clone(),
             posix_partial,
             stdio_partial,
@@ -930,62 +816,6 @@ impl DarshanRuntime {
         (buf.total, buf.marks.clone())
     }
 
-    /// Legacy full extraction: deep-copy every record regardless of
-    /// dirtiness, charging `snapshot_cost_per_record × total_records`.
-    /// Kept as the `ablation_snapshot` comparison arm and the equivalence
-    /// oracle for the incremental path. It does not advance the baseline
-    /// or drain dirty state, but it *does* open a new extraction epoch so
-    /// diffs spanning it stay correct.
-    pub fn snapshot_full(&self) -> Snapshot {
-        probe::flush_current_thread();
-        let n = self.posix_record_count() + self.stdio_record_count();
-        if n > 0 && !self.config.snapshot_cost_per_record.is_zero() {
-            self.gate.close();
-            sleep(self.config.snapshot_cost_per_record * n as u32);
-            self.gate.open();
-        }
-        let taken_at = self.rel(simrt::now());
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-        let (posix, posix_partial) = {
-            let m = self.posix.lock();
-            let mut v: Vec<Arc<PosixRecord>> = m
-                .records
-                .values()
-                .map(|r| {
-                    let mut c = r.clone();
-                    c.reduce_common_accesses();
-                    Arc::new(c)
-                })
-                .collect();
-            v.sort_by_key(|r| r.rec_id);
-            (v, m.partial)
-        };
-        let (stdio, stdio_partial) = {
-            let m = self.stdio.lock();
-            let mut v: Vec<Arc<StdioRecord>> =
-                m.records.values().map(|r| Arc::new(r.clone())).collect();
-            v.sort_by_key(|r| r.rec_id);
-            (v, m.partial)
-        };
-        let (dxt_segments, dxt_watermarks) = {
-            let d = self.dxt.lock();
-            let marks: HashMap<u64, usize> =
-                d.files.iter().map(|(id, f)| (*id, f.segs.len())).collect();
-            (d.total, Arc::new(marks))
-        };
-        Snapshot {
-            taken_at,
-            epoch,
-            posix,
-            stdio,
-            names: self.names.lock().clone(),
-            posix_partial,
-            stdio_partial,
-            dxt_segments,
-            dxt_watermarks,
-        }
-    }
-
     /// Number of POSIX records currently held.
     pub fn posix_record_count(&self) -> usize {
         self.posix.lock().records.len()
@@ -1006,6 +836,7 @@ impl DarshanRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::PosixFCounter as PF;
     use simrt::Sim;
     use std::sync::Arc;
 
@@ -1063,18 +894,33 @@ mod tests {
     fn record_memory_cap_sets_partial_flag() {
         let sim = Sim::new();
         sim.spawn("t", || {
-            let rt = DarshanRuntime::new(DarshanConfig {
-                max_records_per_module: 2,
-                ..Default::default()
-            });
-            assert!(rt.posix_open("/a", at(0), at(0)).is_some());
-            assert!(rt.posix_open("/b", at(0), at(0)).is_some());
-            assert!(rt.posix_open("/c", at(0), at(0)).is_none());
-            // Existing records still update.
-            assert!(rt.posix_open("/a", at(1), at(1)).is_some());
-            let snap = rt.snapshot();
-            assert!(snap.posix_partial);
-            assert_eq!(snap.posix.len(), 2);
+            for stdio in [false, true] {
+                let rt = DarshanRuntime::new(DarshanConfig {
+                    max_records_per_module: 2,
+                    ..Default::default()
+                });
+                let open = |path: &str, t: u64| {
+                    if stdio {
+                        rt.stdio_open(path, at(t), at(t))
+                    } else {
+                        rt.posix_open(path, at(t), at(t))
+                    }
+                };
+                assert!(open("/a", 0).is_some());
+                assert!(open("/b", 0).is_some());
+                assert!(open("/c", 0).is_none());
+                // Existing records still update.
+                assert!(open("/a", 1).is_some());
+                let snap = rt.snapshot();
+                assert_eq!(snap.posix_partial, !stdio);
+                assert_eq!(snap.stdio_partial, stdio);
+                let held = if stdio {
+                    snap.stdio.len()
+                } else {
+                    snap.posix.len()
+                };
+                assert_eq!(held, 2);
+            }
         });
         sim.run();
     }

@@ -75,15 +75,12 @@ impl DarshanSink {
         if let Some(id) = self.fds.lock().get(&fd) {
             return Some(*id);
         }
-        let memo = self.posix_recs.lock().get(&path).copied();
-        let id = match memo {
-            Some(id) => id,
-            None => {
-                let id = self.rt.posix_register_existing(&path.resolve())?;
-                self.posix_recs.lock().insert(path, id);
-                id
-            }
-        };
+        let id = memo_open(
+            &self.posix_recs,
+            path,
+            |_| {},
+            |p| self.rt.posix_register_existing(p),
+        )?;
         self.fds.lock().insert(fd, id);
         Some(id)
     }
@@ -97,23 +94,22 @@ impl DarshanSink {
         }
         let rt = &self.rt;
         let (t0, t1) = (ev.t0, ev.t1);
+        let fd_meta = |fd, counter| {
+            if let Some(id) = self.rec_of(fd, ev.target) {
+                rt.posix_meta(id, counter, t0, t1);
+            }
+        };
+        let stream_rec = |stream| self.streams.lock().get(&stream).copied();
+        let stream_meta = |stream, counter| {
+            if let Some(id) = stream_rec(stream) {
+                rt.stdio_meta(id, counter, t0, t1);
+            }
+        };
         match ev.kind {
             EventKind::Open { fd } => {
-                let memo = self.posix_recs.lock().get(&ev.target).copied();
-                let id = match memo {
-                    Some(id) => {
-                        rt.posix_reopen(id, t0, t1);
-                        Some(id)
-                    }
-                    None => {
-                        let id = rt.posix_open(&ev.target.resolve(), t0, t1);
-                        if let Some(id) = id {
-                            self.posix_recs.lock().insert(ev.target, id);
-                        }
-                        id
-                    }
-                };
-                if let Some(id) = id {
+                let reopen = |id| rt.posix_reopen(id, t0, t1);
+                let open = |p: &str| rt.posix_open(p, t0, t1);
+                if let Some(id) = memo_open(&self.posix_recs, ev.target, reopen, open) {
                     self.fds.lock().insert(fd, id);
                 }
             }
@@ -134,32 +130,14 @@ impl DarshanSink {
                     rt.posix_write(id, offset, len, t0, t1);
                 }
             }
-            EventKind::Seek { fd, .. } => {
-                if let Some(id) = self.rec_of(fd, ev.target) {
-                    rt.posix_meta(id, P::POSIX_SEEKS, t0, t1);
-                }
-            }
+            EventKind::Seek { fd, .. } => fd_meta(fd, P::POSIX_SEEKS),
             EventKind::Stat => {
-                let memo = self.posix_recs.lock().get(&ev.target).copied();
-                match memo {
-                    Some(id) => rt.posix_meta(id, P::POSIX_STATS, t0, t1),
-                    None => {
-                        if let Some(id) = rt.posix_stat_path(&ev.target.resolve(), t0, t1) {
-                            self.posix_recs.lock().insert(ev.target, id);
-                        }
-                    }
-                }
+                let stat = |id| rt.posix_meta(id, P::POSIX_STATS, t0, t1);
+                let stat_path = |p: &str| rt.posix_stat_path(p, t0, t1);
+                memo_open(&self.posix_recs, ev.target, stat, stat_path);
             }
-            EventKind::Fstat { fd } => {
-                if let Some(id) = self.rec_of(fd, ev.target) {
-                    rt.posix_meta(id, P::POSIX_STATS, t0, t1);
-                }
-            }
-            EventKind::Fsync { fd } => {
-                if let Some(id) = self.rec_of(fd, ev.target) {
-                    rt.posix_meta(id, P::POSIX_FSYNCS, t0, t1);
-                }
-            }
+            EventKind::Fstat { fd } => fd_meta(fd, P::POSIX_STATS),
+            EventKind::Fsync { fd } => fd_meta(fd, P::POSIX_FSYNCS),
             EventKind::Mmap { map, fd, .. } => {
                 if let Some(id) = self.rec_of(fd, ev.target) {
                     rt.posix_meta(id, P::POSIX_MMAPS, t0, t1);
@@ -177,21 +155,9 @@ impl DarshanSink {
             }
             EventKind::MmapFault { .. } => {} // not a syscall: blind spot
             EventKind::StdioOpen { stream } => {
-                let memo = self.stdio_recs.lock().get(&ev.target).copied();
-                let id = match memo {
-                    Some(id) => {
-                        rt.stdio_reopen(id, t0, t1);
-                        Some(id)
-                    }
-                    None => {
-                        let id = rt.stdio_open(&ev.target.resolve(), t0, t1);
-                        if let Some(id) = id {
-                            self.stdio_recs.lock().insert(ev.target, id);
-                        }
-                        id
-                    }
-                };
-                if let Some(id) = id {
+                let reopen = |id| rt.stdio_reopen(id, t0, t1);
+                let open = |p: &str| rt.stdio_open(p, t0, t1);
+                if let Some(id) = memo_open(&self.stdio_recs, ev.target, reopen, open) {
                     self.streams.lock().insert(stream, id);
                 }
             }
@@ -201,33 +167,40 @@ impl DarshanSink {
                 }
             }
             EventKind::StdioRead { stream, pos, len } => {
-                let rec = self.streams.lock().get(&stream).copied();
-                if let Some(id) = rec {
+                if let Some(id) = stream_rec(stream) {
                     rt.stdio_read(id, pos, len, t0, t1);
                 }
             }
             EventKind::StdioWrite { stream, pos, len } => {
-                let rec = self.streams.lock().get(&stream).copied();
-                if let Some(id) = rec {
+                if let Some(id) = stream_rec(stream) {
                     rt.stdio_write(id, pos, len, t0, t1);
                 }
             }
-            EventKind::StdioSeek { stream, .. } => {
-                let rec = self.streams.lock().get(&stream).copied();
-                if let Some(id) = rec {
-                    rt.stdio_meta(id, S::STDIO_SEEKS, t0, t1);
-                }
-            }
-            EventKind::StdioFlush { stream } => {
-                let rec = self.streams.lock().get(&stream).copied();
-                if let Some(id) = rec {
-                    rt.stdio_meta(id, S::STDIO_FLUSHES, t0, t1);
-                }
-            }
+            EventKind::StdioSeek { stream, .. } => stream_meta(stream, S::STDIO_SEEKS),
+            EventKind::StdioFlush { stream } => stream_meta(stream, S::STDIO_FLUSHES),
             EventKind::TraceSpan { .. } => {} // profiler-side, not I/O
             EventKind::Sync { .. } => {}      // ordering metadata, not I/O
         }
     }
+}
+
+/// Open `target` on one module through its interned-path memo: a hit
+/// hands the known record id to `hit`; a miss resolves the path, lets
+/// `miss` find or create the record, and memoizes the id it returns.
+fn memo_open(
+    memo: &Mutex<HashMap<PathId, u64>>,
+    target: PathId,
+    hit: impl FnOnce(u64),
+    miss: impl FnOnce(&str) -> Option<u64>,
+) -> Option<u64> {
+    let known = memo.lock().get(&target).copied();
+    if let Some(id) = known {
+        hit(id);
+        return Some(id);
+    }
+    let id = miss(&target.resolve())?;
+    memo.lock().insert(target, id);
+    Some(id)
 }
 
 impl ProbeSink for DarshanSink {

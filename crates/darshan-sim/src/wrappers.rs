@@ -28,30 +28,39 @@ use posix_sim::{Fd, LibcIo, LibcStdio, MapId, OpenFlags, PosixResult, Process, S
 use crate::counters::record_id;
 use crate::runtime::DarshanRuntime;
 
-/// The instrumented POSIX symbols.
-pub struct DarshanIo {
+/// The instrumented symbols of one libc interface `L`, forwarding to
+/// its previous GOT binding: [`DarshanIo`] for POSIX, [`DarshanStdio`] for
+/// STDIO.
+pub struct Wrapper<L: ?Sized> {
     rt: Arc<DarshanRuntime>,
-    orig: Arc<dyn LibcIo>,
+    orig: Arc<L>,
     /// Record ids whose allocation cost was already charged.
     seen: Mutex<HashSet<u64>>,
 }
 
-impl DarshanIo {
+/// The instrumented POSIX symbols.
+pub type DarshanIo = Wrapper<dyn LibcIo>;
+
+/// The instrumented STDIO symbols.
+pub type DarshanStdio = Wrapper<dyn LibcStdio>;
+
+impl<L: ?Sized> Wrapper<L> {
     /// Wrap the previous GOT binding `orig`.
-    pub fn new(rt: Arc<DarshanRuntime>, orig: Arc<dyn LibcIo>) -> Arc<Self> {
-        Arc::new(DarshanIo {
+    pub fn new(rt: Arc<DarshanRuntime>, orig: Arc<L>) -> Arc<Self> {
+        Arc::new(Wrapper {
             rt,
             orig,
             seen: Mutex::new(HashSet::new()),
         })
     }
 
-    /// The original binding this wrapper forwards to (used on detach).
-    pub fn orig(&self) -> Arc<dyn LibcIo> {
+    /// The original binding this wrapper forwards to.
+    pub fn orig(&self) -> Arc<L> {
         self.orig.clone()
     }
 
-    /// Charge the new-record cost the first time `path` is opened.
+    /// Charge a wrapped `open`/`fopen`: the new-record cost the first time
+    /// `path` is seen, then the per-operation cost.
     fn charge_open(&self, path: &str) {
         if self.seen.lock().insert(record_id(path)) {
             self.rt.charge_new_record();
@@ -161,37 +170,10 @@ impl LibcIo for DarshanIo {
     }
 }
 
-/// The instrumented STDIO symbols.
-pub struct DarshanStdio {
-    rt: Arc<DarshanRuntime>,
-    orig: Arc<dyn LibcStdio>,
-    /// Record ids whose allocation cost was already charged.
-    seen: Mutex<HashSet<u64>>,
-}
-
-impl DarshanStdio {
-    /// Wrap the previous GOT binding `orig`.
-    pub fn new(rt: Arc<DarshanRuntime>, orig: Arc<dyn LibcStdio>) -> Arc<Self> {
-        Arc::new(DarshanStdio {
-            rt,
-            orig,
-            seen: Mutex::new(HashSet::new()),
-        })
-    }
-
-    /// The original binding this wrapper forwards to.
-    pub fn orig(&self) -> Arc<dyn LibcStdio> {
-        self.orig.clone()
-    }
-}
-
 impl LibcStdio for DarshanStdio {
     fn fopen(&self, p: &Process, path: &str, mode: &str) -> PosixResult<StreamId> {
         let r = self.orig.fopen(p, path, mode);
-        if self.seen.lock().insert(record_id(path)) {
-            self.rt.charge_new_record();
-        }
-        self.rt.charge_op();
+        self.charge_open(path);
         r
     }
 

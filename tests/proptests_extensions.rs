@@ -480,9 +480,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use flat_reduce::{merge_posix_records, merge_stdio_records, reduce_job_sessions_sized};
-use tf_darshan::darshan::reduce::{PosixFold, StdioFold};
+use tf_darshan::darshan::reduce::Fold;
 use tf_darshan::darshan::{
-    PosixFCounter as FP, StdioCounter as S, StdioFCounter as SF, StdioRecord,
+    Posix, PosixFCounter as FP, Stdio, StdioCounter as S, StdioFCounter as SF, StdioRecord,
 };
 use tf_darshan::tfdarshan::{reduce_job_sessions_tree, spawn_tree_reduce, TreeReduceConfig};
 
@@ -564,9 +564,9 @@ fn arb_stdio_record(id: u64) -> impl Strategy<Value = StdioRecord> {
 
 /// Fold `recs` up a balanced binary tree with the pairwise operators.
 fn tree_fold(recs: &[PosixRecord]) -> PosixRecord {
-    fn build(recs: &[PosixRecord]) -> PosixFold {
+    fn build(recs: &[PosixRecord]) -> Fold<Posix> {
         if recs.len() == 1 {
-            PosixFold::leaf(recs[0].clone())
+            Fold::leaf(recs[0].clone())
         } else {
             let mid = recs.len() / 2;
             build(&recs[..mid]).absorb(build(&recs[mid..]))
@@ -577,9 +577,9 @@ fn tree_fold(recs: &[PosixRecord]) -> PosixRecord {
 
 /// [`tree_fold`] for STDIO records.
 fn tree_fold_stdio(recs: &[StdioRecord]) -> StdioRecord {
-    fn build(recs: &[StdioRecord]) -> StdioFold {
+    fn build(recs: &[StdioRecord]) -> Fold<Stdio> {
         if recs.len() == 1 {
-            StdioFold::leaf(recs[0].clone())
+            Fold::leaf(recs[0].clone())
         } else {
             let mid = recs.len() / 2;
             build(&recs[..mid]).absorb(build(&recs[mid..]))

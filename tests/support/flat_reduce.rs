@@ -1,8 +1,8 @@
 //! Test-only reference model of the job reduction: the flat, rank-ordered
 //! left-fold merges and the flat job assembly that production code
-//! replaced with the pairwise fold (`darshan_sim::reduce::PosixFold` /
-//! `StdioFold` driven by `tfdarshan::job_tree`). The property tests check
-//! the fold against this independent implementation byte for byte.
+//! replaced with the pairwise fold (`darshan_sim::reduce::Fold` driven by
+//! `tfdarshan::job_tree`). The property tests check the fold against this
+//! independent implementation byte for byte.
 //!
 //! Include with `#[path = "support/flat_reduce.rs"] mod flat_reduce;`.
 
@@ -68,7 +68,7 @@ pub fn merge_posix_records(records: &[PosixRecord]) -> Option<PosixRecord> {
             let count = r.get(cnt);
             if count > 0 {
                 for _ in 0..count {
-                    out.access_sizes.add(r.get(a) as u64);
+                    out.ext.access_sizes.add(r.get(a) as u64);
                 }
             }
         }
