@@ -2,7 +2,7 @@
 //! cost, and host memory.
 //!
 //! The fleet refactor's claim is that no layer re-flattens the job: node
-//! carriers keep OS threads at `ranks / 64`, sharded probe buses keep
+//! carriers keep OS threads at `ranks / 64`, one probe bus per rank keeps
 //! per-event fan-out constant, and the log-depth tree reduction keeps
 //! merge cost growing with `log N` rather than `N`. This bench sweeps the
 //! `fleet_scale` workload over a log rank axis and records, per world
@@ -37,7 +37,7 @@ struct Point {
 
 fn measure(world_size: usize) -> Point {
     let cfg = FleetConfig {
-        // Shard dstat columns are exercised by the gate and the small
+        // Node dstat columns are exercised by the gate and the small
         // sizes; above 256 ranks the sampler is pure overhead here.
         dstat: world_size <= 256,
         ..FleetConfig::new(world_size)
@@ -67,7 +67,7 @@ fn measure(world_size: usize) -> Point {
 fn main() {
     bench::header(
         "Ablation",
-        "Fleet scale: 4 -> 4096 ranks, sharded buses and tree reduction",
+        "Fleet scale: 4 -> 4096 ranks, per-rank buses and tree reduction",
     );
     // Scaled CI runs stop at 1024 ranks (the acceptance sizes); a full
     // run (TFD_SCALE=1, the default here) adds the 4096-rank point.

@@ -9,13 +9,10 @@
 //!   bus) plus an attached tf-Darshan session whose DXT segments are
 //!   stamped with the rank;
 //! * [`JobCtx`] — owns N `RankCtx`s over one shared [`StorageStack`] (the
-//!   cluster's parallel filesystem) plus rank-group **shard buses**
-//!   ([`DEFAULT_SHARD_RANKS`] ranks each): every rank's probe events are
-//!   mirrored onto its shard so wide jobs stop serializing on one spine;
-//!   consumers that need the strict job-wide op-completion order (the
-//!   sanitizer) get a lazily-attached job-wide bus via
-//!   [`JobCtx::job_bus`], while per-rank consumers keep reading the
-//!   rank's own bus;
+//!   cluster's parallel filesystem). Every event lands on exactly one bus,
+//!   its rank's own, as parallel Darshan keeps each rank's records in that
+//!   rank's buffers; a job-wide consumer registers one sink on every
+//!   rank's bus ([`JobCtx::attach_shard_merge`]);
 //! * [`JobReport`] — per-rank reports plus the job-level merge, built by
 //!   the tree reduction in [`crate::job_tree`] with parallel Darshan's
 //!   shared-file reduction semantics: records of files touched by several
@@ -146,92 +143,51 @@ pub(crate) fn missing_ranks_of(sessions: &[RankSession], world_size: u32) -> Vec
     (0..world_size).filter(|r| !have.contains(r)).collect()
 }
 
-/// Default ranks per probe-bus shard: one shard per "node" of a typical
-/// cluster generation, and small enough that a shard-local consumer sees
-/// 1/16th of a 1k-rank job's traffic.
-pub const DEFAULT_SHARD_RANKS: usize = 64;
-
-/// N ranks over one shared storage stack, with rank-group **shard buses**
-/// and an on-demand job-wide bus.
+/// N ranks over one shared storage stack, each rank with its own probe
+/// bus.
 ///
-/// Every rank's process mirrors its events onto its shard's [`ProbeBus`]
-/// (ranks `[k·shard_ranks, (k+1)·shard_ranks)` share shard `k`), so
-/// shard-local consumers — per-node dstat attribution, serve's live
-/// gauges — register on one shard and never see (or slow down) the other
-/// shards' sink snapshots. Consumers that need the strict job-wide
-/// op-completion order (the sanitizer's happens-before analysis) call
-/// [`JobCtx::job_bus`], which lazily attaches one more shared spine to
-/// every rank: a job that never asks for it — the fleet-scale default —
-/// pays nothing for it.
+/// There is no job-level bus: a consumer that needs every rank's events
+/// registers one sink on each rank's bus. The per-thread probe ring
+/// delivers runs in emission order, so such a sink sees the job's events
+/// in global op-completion order, the order happens-before analysis (the
+/// sanitizer) needs.
 pub struct JobCtx {
     stack: StorageStack,
-    shard_ranks: usize,
-    shards: Vec<ProbeBus>,
-    job_bus: std::sync::OnceLock<ProbeBus>,
     ranks: Vec<RankCtx>,
 }
 
 impl JobCtx {
     /// Create `world_size` ranks, each with its own fresh [`Process`] over
-    /// the shared `stack`, tf-Darshan installed per rank, and the rank's
-    /// shard bus attached to its process ([`DEFAULT_SHARD_RANKS`] ranks
-    /// per shard).
+    /// the shared `stack`, and tf-Darshan installed per rank.
     pub fn new(stack: &StorageStack, world_size: usize, config: &TfDarshanConfig) -> Self {
         assert!(world_size > 0);
         let processes = (0..world_size)
             .map(|_| Process::new(stack.clone()))
             .collect();
-        Self::from_processes(stack.clone(), processes, config, DEFAULT_SHARD_RANKS)
-    }
-
-    /// [`JobCtx::new`] with an explicit shard width (ranks per shard bus).
-    pub fn with_shard_ranks(
-        stack: &StorageStack,
-        world_size: usize,
-        config: &TfDarshanConfig,
-        shard_ranks: usize,
-    ) -> Self {
-        assert!(world_size > 0);
-        let processes = (0..world_size)
-            .map(|_| Process::new(stack.clone()))
-            .collect();
-        Self::from_processes(stack.clone(), processes, config, shard_ranks)
+        Self::from_processes(stack.clone(), processes, config)
     }
 
     /// Wrap an existing [`MpiWorld`]'s rank processes — the path a
     /// distributed training job takes: `mpi-sim` owns the ranks and the
-    /// collectives; the job context adds per-rank tf-Darshan sessions and
-    /// the shard buses on top.
+    /// collectives; the job context adds per-rank tf-Darshan sessions on
+    /// top.
     pub fn over_world(world: &MpiWorld, config: &TfDarshanConfig) -> Self {
         let processes: Vec<Arc<Process>> = (0..world.size()).map(|r| world.process(r)).collect();
         let stack = processes[0].stack().clone();
-        Self::from_processes(stack, processes, config, DEFAULT_SHARD_RANKS)
+        Self::from_processes(stack, processes, config)
     }
 
     fn from_processes(
         stack: StorageStack,
         processes: Vec<Arc<Process>>,
         config: &TfDarshanConfig,
-        shard_ranks: usize,
     ) -> Self {
-        assert!(shard_ranks > 0, "shards need at least one rank");
-        let shard_count = processes.len().div_ceil(shard_ranks);
-        let shards: Vec<ProbeBus> = (0..shard_count).map(|_| ProbeBus::new()).collect();
         let ranks = processes
             .into_iter()
             .enumerate()
-            .map(|(r, p)| {
-                p.attach_shared_spine(&shards[r / shard_ranks]);
-                RankCtx::new(r as u32, p, config.clone())
-            })
+            .map(|(r, p)| RankCtx::new(r as u32, p, config.clone()))
             .collect();
-        JobCtx {
-            stack,
-            shard_ranks,
-            shards,
-            job_bus: std::sync::OnceLock::new(),
-            ranks,
-        }
+        JobCtx { stack, ranks }
     }
 
     /// Number of ranks.
@@ -249,69 +205,27 @@ impl JobCtx {
         &self.ranks
     }
 
-    /// Ranks per shard bus.
-    pub fn shard_ranks(&self) -> usize {
-        self.shard_ranks
-    }
-
-    /// Number of shard buses.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard bus `shard` (events of ranks `shard·shard_ranks ..`).
-    pub fn shard_bus(&self, shard: usize) -> &ProbeBus {
-        &self.shards[shard]
-    }
-
-    /// The shard a rank's events land on.
-    pub fn shard_of_rank(&self, rank: u32) -> usize {
-        rank as usize / self.shard_ranks
-    }
-
-    /// Register one order-insensitive sink on **every shard bus** — the
-    /// merge stage for job-wide consumers that fold commutative counters
-    /// (dstat gauges, serve's live op/byte counters). The sink sees every
-    /// rank's events, each shard's stream in op-completion order, with no
-    /// ordering defined *across* shards — consumers that need the strict
-    /// job-wide order use [`JobCtx::job_bus`] instead. Returns one
-    /// `(shard, sink id)` pair per shard for
+    /// Register `sink` on **every rank's bus**: the job-wide consumer.
+    /// The sink sees each rank's events exactly once, in global emission
+    /// order (the probe ring delivers runs across buses in the order they
+    /// were emitted). Returns one `(rank, sink id)` pair per rank for
     /// [`JobCtx::detach_shard_merge`].
     pub fn attach_shard_merge(
         &self,
         sink: Arc<dyn probe::ProbeSink>,
     ) -> Vec<(usize, probe::SinkId)> {
-        self.shards
+        self.ranks
             .iter()
             .enumerate()
-            .map(|(i, bus)| (i, bus.register(sink.clone())))
+            .map(|(r, ctx)| (r, ctx.probe().register(sink.clone())))
             .collect()
     }
 
     /// Unregister a sink attached with [`JobCtx::attach_shard_merge`].
     pub fn detach_shard_merge(&self, ids: &[(usize, probe::SinkId)]) {
-        for (shard, id) in ids {
-            self.shards[*shard].unregister(*id);
+        for (rank, id) in ids {
+            self.ranks[*rank].probe().unregister(*id);
         }
-    }
-
-    /// The job-wide bus: all ranks' I/O events (and, via
-    /// `probe::SyncBridge`, the job's sync events) in one
-    /// op-completion-ordered stream. Job-wide consumers must read this one
-    /// bus — cross-bus ordering is not defined.
-    ///
-    /// Created (and attached to every rank's process as an additional
-    /// shared spine) on first call: ranks only pay the job-wide mirroring
-    /// when something actually consumes it. Call before the events you
-    /// care about are emitted — typically before `sim.run()`.
-    pub fn job_bus(&self) -> &ProbeBus {
-        self.job_bus.get_or_init(|| {
-            let bus = ProbeBus::new();
-            for r in &self.ranks {
-                r.process.attach_shared_spine(&bus);
-            }
-            bus
-        })
     }
 
     /// The shared storage stack (the parallel filesystem).
@@ -406,23 +320,5 @@ impl JobCtx {
             .iter()
             .map(|r| sim.spawn_event(format!("rank{}", r.rank), f(r.rank, r.process.clone())))
             .collect()
-    }
-
-    /// Detach the job-wide bus (if one was created) from every rank's
-    /// process; the shard buses, per-rank buses and sessions stay live.
-    pub fn detach_job_bus(&self) {
-        if let Some(bus) = self.job_bus.get() {
-            for r in &self.ranks {
-                r.process.detach_spine(bus);
-            }
-        }
-    }
-
-    /// Detach every shared spine — shard buses and the job-wide bus — from
-    /// every rank's process (the per-rank buses and sessions stay live).
-    pub fn detach_all_spines(&self) {
-        for r in &self.ranks {
-            r.process.detach_shared_spine();
-        }
     }
 }

@@ -82,7 +82,7 @@ pub use analysis::{
     analyze, bandwidth_series, diff, per_file, FileActivity, IoStats, SnapshotDiff, StdioStats,
 };
 pub use autotune::{IoAutoTuner, TuneStep};
-pub use job::{JobCtx, JobReport, RankCtx, RankSession, DEFAULT_SHARD_RANKS};
+pub use job::{JobCtx, JobReport, RankCtx, RankSession};
 pub use job_tree::{
     reduce_job_sessions_tree, spawn_tree_reduce, TreeReduceConfig, TreeReduceHandle,
     TreeReduceStats,

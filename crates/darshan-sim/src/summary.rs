@@ -48,6 +48,10 @@ pub struct JobSummary {
     pub top_by_bytes: Vec<(String, u64)>,
     /// STDIO totals: `(opens, reads, writes, bytes_read, bytes_written)`.
     pub stdio: (u64, u64, u64, u64, u64),
+    /// A module of the log ran out of record memory, so every total above
+    /// undercounts the job (the parser's `[PARTIAL]` header).
+    #[serde(default)]
+    pub partial: bool,
 }
 
 impl JobSummary {
@@ -56,6 +60,7 @@ impl JobSummary {
         let mut s = JobSummary {
             runtime: (log.job_end - log.job_start).max(0.0),
             posix_files: log.posix.len(),
+            partial: log.posix_partial || log.stdio_partial,
             ..Default::default()
         };
         let mut by_time: Vec<(String, f64, u64)> = Vec::new();
@@ -118,6 +123,12 @@ impl JobSummary {
         let mib = 1024.0 * 1024.0;
         let mut out = String::new();
         let _ = writeln!(out, "================ Darshan job summary ================");
+        if self.partial {
+            let _ = writeln!(
+                out,
+                "WARNING: partial log, a module ran out of record memory; totals undercount"
+            );
+        }
         let _ = writeln!(
             out,
             "runtime {:.3}s | files {} | opens {} | reads {} | writes {}",
@@ -239,6 +250,21 @@ mod tests {
         assert!(text.contains("100% sequential"));
         assert!(text.contains("/d/f1"));
         assert!(text.contains("140 fwrites"));
+    }
+
+    #[test]
+    fn partial_log_renders_a_warning() {
+        assert!(!JobSummary::from_log(&log(), 3).render().contains("WARNING"));
+        let mut l = log();
+        l.stdio_partial = true;
+        let s = JobSummary::from_log(&l, 3);
+        assert!(s.partial);
+        let text = s.render();
+        assert_eq!(
+            text.lines().nth(1),
+            Some("WARNING: partial log, a module ran out of record memory; totals undercount")
+        );
+        assert!(text.contains("opens 3 | reads 7"), "totals still render");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,21 +64,14 @@ pub struct DstatSample {
     pub sys_read_bytes: u64,
     /// Bytes moved through `write`-family syscalls during the interval.
     pub sys_write_bytes: u64,
-    /// Per-rank syscall read bytes during the interval, one `(rank,
-    /// bytes)` pair per spine attached via [`Dstat::attach_rank_spine`].
-    /// In a distributed job the device columns aggregate every rank's
-    /// traffic; these columns attribute it back to the rank that issued
-    /// the syscalls.
-    pub rank_read_bytes: Vec<(u32, u64)>,
-    /// Per-rank syscall write bytes during the interval.
-    pub rank_write_bytes: Vec<(u32, u64)>,
-    /// Per-shard syscall read bytes during the interval, one `(shard,
-    /// bytes)` pair per spine attached via [`Dstat::attach_shard_spine`].
-    /// Fleet jobs attribute per rank *group* — [`MAX_RANK_COLUMNS`] caps
-    /// the per-rank columns, shard columns stay O(N/64).
-    pub shard_read_bytes: Vec<(u32, u64)>,
-    /// Per-shard syscall write bytes during the interval.
-    pub shard_write_bytes: Vec<(u32, u64)>,
+    /// Keyed syscall read bytes during the interval, one `(key, bytes)`
+    /// pair per column attached via [`Dstat::attach_keyed_spine`]. In a
+    /// distributed job the device columns aggregate every rank's traffic;
+    /// these columns attribute it back to the rank, or group of ranks
+    /// (e.g. a node), that issued the syscalls.
+    pub keyed_read_bytes: Vec<(u32, u64)>,
+    /// Keyed syscall write bytes during the interval.
+    pub keyed_write_bytes: Vec<(u32, u64)>,
 }
 
 impl DstatSample {
@@ -98,55 +90,33 @@ impl DstatSample {
         self.total_read() as f64 / (1024.0 * 1024.0) / interval.as_secs_f64()
     }
 
-    /// This interval's syscall read bytes attributed to `rank` (zero if
-    /// that rank's spine is not attached).
-    pub fn rank_read(&self, rank: u32) -> u64 {
-        self.rank_read_bytes
-            .iter()
-            .find(|(r, _)| *r == rank)
-            .map_or(0, |(_, b)| *b)
+    /// This interval's syscall read bytes attributed to column `key`
+    /// (zero if no spine is attached under that key).
+    pub fn keyed_read(&self, key: u32) -> u64 {
+        column(&self.keyed_read_bytes, key)
     }
 
-    /// This interval's syscall write bytes attributed to `rank`.
-    pub fn rank_write(&self, rank: u32) -> u64 {
-        self.rank_write_bytes
-            .iter()
-            .find(|(r, _)| *r == rank)
-            .map_or(0, |(_, b)| *b)
-    }
-
-    /// This interval's syscall read bytes attributed to shard `shard`
-    /// (zero if that shard's spine is not attached).
-    pub fn shard_read(&self, shard: u32) -> u64 {
-        self.shard_read_bytes
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .map_or(0, |(_, b)| *b)
-    }
-
-    /// This interval's syscall write bytes attributed to shard `shard`.
-    pub fn shard_write(&self, shard: u32) -> u64 {
-        self.shard_write_bytes
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .map_or(0, |(_, b)| *b)
+    /// This interval's syscall write bytes attributed to column `key`.
+    pub fn keyed_write(&self, key: u32) -> u64 {
+        column(&self.keyed_write_bytes, key)
     }
 }
 
-/// Cap on per-rank attribution columns. Past it, [`Dstat::attach_rank_spine`]
-/// refuses (returns `false`): a 4096-rank job would otherwise pay 4096
-/// column diffs per sampling tick and produce unreadably wide samples —
-/// attribute per rank group with [`Dstat::attach_shard_spine`] instead.
-pub const MAX_RANK_COLUMNS: usize = 64;
+fn column(cols: &[(u32, u64)], key: u32) -> u64 {
+    cols.iter().find(|(k, _)| *k == key).map_or(0, |(_, b)| *b)
+}
 
-/// One attached attribution spine (a rank's bus or a shard's bus): its own
-/// accumulator so the sampler can diff its traffic independently of the
-/// aggregate spine. `key` is the rank or shard id.
+/// One attribution column: its own accumulator, fed by every bus attached
+/// under `key`, so the sampler can diff its traffic independently of the
+/// aggregate spine.
 struct KeyedSpine {
     key: u32,
     counters: Arc<SyscallCounters>,
-    bus: ProbeBus,
-    sink_id: SinkId,
+    /// `(read, write)` totals at the last sample; a column attached
+    /// mid-run starts from zero, so its first sample covers everything it
+    /// saw.
+    prev: (u64, u64),
+    sinks: Vec<(ProbeBus, SinkId)>,
 }
 
 /// A running dstat instance.
@@ -157,8 +127,7 @@ pub struct Dstat {
     names: Vec<String>,
     syscalls: Arc<SyscallCounters>,
     spine: Mutex<Option<(ProbeBus, SinkId)>>,
-    rank_spines: Arc<Mutex<Vec<KeyedSpine>>>,
-    shard_spines: Arc<Mutex<Vec<KeyedSpine>>>,
+    keyed_spines: Arc<Mutex<Vec<KeyedSpine>>>,
 }
 
 impl Dstat {
@@ -174,14 +143,12 @@ impl Dstat {
         let stop = Arc::new(Event::new());
         let names = devices.iter().map(|d| d.name().to_string()).collect();
         let syscalls: Arc<SyscallCounters> = Arc::new(SyscallCounters::default());
-        let rank_spines: Arc<Mutex<Vec<KeyedSpine>>> = Arc::new(Mutex::new(Vec::new()));
-        let shard_spines: Arc<Mutex<Vec<KeyedSpine>>> = Arc::new(Mutex::new(Vec::new()));
+        let keyed_spines: Arc<Mutex<Vec<KeyedSpine>>> = Arc::new(Mutex::new(Vec::new()));
         {
             let samples = samples.clone();
             let stop = stop.clone();
             let syscalls = syscalls.clone();
-            let rank_spines = rank_spines.clone();
-            let shard_spines = shard_spines.clone();
+            let keyed_spines = keyed_spines.clone();
             // Sampler state machine. Each poll is one wakeup of the old
             // carrier loop: a timeout firing means the interval elapsed
             // (take a sample), any other wake re-checks the stop flag. The
@@ -191,10 +158,6 @@ impl Dstat {
             let mut prev: Option<Vec<CounterSnapshot>> = None;
             let mut prev_sys_r = 0u64;
             let mut prev_sys_w = 0u64;
-            // Per-rank previous totals; a spine attached mid-run starts
-            // from zero, so its first column covers everything it saw.
-            let mut prev_rank: HashMap<u32, (u64, u64)> = HashMap::new();
-            let mut prev_shard: HashMap<u32, (u64, u64)> = HashMap::new();
             sim.spawn_event("dstat", move |cx: &mut EventCx| {
                 if stop.poll_wait() {
                     return EventPoll::Done;
@@ -211,25 +174,14 @@ impl Dstat {
                     // so the accumulator is complete up to this instant.
                     let sys_r = syscalls.read_bytes.load(Ordering::Relaxed);
                     let sys_w = syscalls.write_bytes.load(Ordering::Relaxed);
-                    let mut rank_read_bytes = Vec::new();
-                    let mut rank_write_bytes = Vec::new();
-                    for rs in rank_spines.lock().iter() {
-                        let r = rs.counters.read_bytes.load(Ordering::Relaxed);
-                        let w = rs.counters.write_bytes.load(Ordering::Relaxed);
-                        let p = prev_rank.entry(rs.key).or_insert((0, 0));
-                        rank_read_bytes.push((rs.key, r - p.0));
-                        rank_write_bytes.push((rs.key, w - p.1));
-                        *p = (r, w);
-                    }
-                    let mut shard_read_bytes = Vec::new();
-                    let mut shard_write_bytes = Vec::new();
-                    for ss in shard_spines.lock().iter() {
-                        let r = ss.counters.read_bytes.load(Ordering::Relaxed);
-                        let w = ss.counters.write_bytes.load(Ordering::Relaxed);
-                        let p = prev_shard.entry(ss.key).or_insert((0, 0));
-                        shard_read_bytes.push((ss.key, r - p.0));
-                        shard_write_bytes.push((ss.key, w - p.1));
-                        *p = (r, w);
+                    let mut keyed_read_bytes = Vec::new();
+                    let mut keyed_write_bytes = Vec::new();
+                    for ks in keyed_spines.lock().iter_mut() {
+                        let r = ks.counters.read_bytes.load(Ordering::Relaxed);
+                        let w = ks.counters.write_bytes.load(Ordering::Relaxed);
+                        keyed_read_bytes.push((ks.key, r - ks.prev.0));
+                        keyed_write_bytes.push((ks.key, w - ks.prev.1));
+                        ks.prev = (r, w);
                     }
                     let prev_snap = prev.as_ref().expect("initialized on first poll");
                     let sample = DstatSample {
@@ -246,10 +198,8 @@ impl Dstat {
                             .collect(),
                         sys_read_bytes: sys_r - prev_sys_r,
                         sys_write_bytes: sys_w - prev_sys_w,
-                        rank_read_bytes,
-                        rank_write_bytes,
-                        shard_read_bytes,
-                        shard_write_bytes,
+                        keyed_read_bytes,
+                        keyed_write_bytes,
                     };
                     prev = Some(cur);
                     prev_sys_r = sys_r;
@@ -268,8 +218,7 @@ impl Dstat {
             names,
             syscalls,
             spine: Mutex::new(None),
-            rank_spines,
-            shard_spines,
+            keyed_spines,
         }
     }
 
@@ -285,52 +234,30 @@ impl Dstat {
         }
     }
 
-    /// Additionally attribute syscall-level traffic to `rank`, sampled
-    /// from that rank's own probe bus. Each [`DstatSample`] then carries a
-    /// per-rank `(rank, bytes)` column next to the aggregate spine
-    /// columns — the distributed analog of dstat's per-CPU breakdown.
-    /// Attach at most one spine per rank; a duplicate rank is ignored.
-    /// Returns `false` (and attaches nothing) once [`MAX_RANK_COLUMNS`]
-    /// ranks are attached — fleet jobs attribute per rank group via
-    /// [`Dstat::attach_shard_spine`] instead.
-    pub fn attach_rank_spine(&self, rank: u32, bus: &ProbeBus) -> bool {
-        let mut spines = self.rank_spines.lock();
-        if spines.iter().any(|rs| rs.key == rank) {
-            return true;
+    /// Additionally attribute syscall-level traffic from `bus` to column
+    /// `key`: each [`DstatSample`] then carries a `(key, bytes)` column
+    /// next to the aggregate spine columns — the distributed analog of
+    /// dstat's per-CPU breakdown. A key may be fed by several buses (a
+    /// node's column by each of its ranks' buses); attaching the same bus
+    /// under the same key again is ignored.
+    pub fn attach_keyed_spine(&self, key: u32, bus: &ProbeBus) {
+        let mut spines = self.keyed_spines.lock();
+        let ks = match spines.iter().position(|ks| ks.key == key) {
+            Some(i) => &mut spines[i],
+            None => {
+                spines.push(KeyedSpine {
+                    key,
+                    counters: Arc::new(SyscallCounters::default()),
+                    prev: (0, 0),
+                    sinks: Vec::new(),
+                });
+                spines.last_mut().expect("just pushed")
+            }
+        };
+        if !ks.sinks.iter().any(|(b, _)| b.same_bus(bus)) {
+            let id = bus.register(ks.counters.clone());
+            ks.sinks.push((bus.clone(), id));
         }
-        if spines.len() >= MAX_RANK_COLUMNS {
-            return false;
-        }
-        let counters: Arc<SyscallCounters> = Arc::new(SyscallCounters::default());
-        let sink_id = bus.register(counters.clone());
-        spines.push(KeyedSpine {
-            key: rank,
-            counters,
-            bus: bus.clone(),
-            sink_id,
-        });
-        true
-    }
-
-    /// Additionally attribute syscall-level traffic to rank-group `shard`,
-    /// sampled from the job's shard bus (`JobCtx::shard_bus`). The scalable
-    /// attribution for fleet jobs: a 4096-rank job at 64 ranks/shard costs
-    /// 64 columns, and each column's sink snapshot is shared only with
-    /// that shard's ranks. Uncapped (shard count is already O(N/64));
-    /// duplicate shard ids are ignored.
-    pub fn attach_shard_spine(&self, shard: u32, bus: &ProbeBus) {
-        let mut spines = self.shard_spines.lock();
-        if spines.iter().any(|ss| ss.key == shard) {
-            return;
-        }
-        let counters: Arc<SyscallCounters> = Arc::new(SyscallCounters::default());
-        let sink_id = bus.register(counters.clone());
-        spines.push(KeyedSpine {
-            key: shard,
-            counters,
-            bus: bus.clone(),
-            sink_id,
-        });
     }
 
     /// Stop the sampler (must be called from a simulated thread).
@@ -339,11 +266,10 @@ impl Dstat {
         if let Some((bus, id)) = self.spine.lock().take() {
             bus.unregister(id);
         }
-        for rs in self.rank_spines.lock().drain(..) {
-            rs.bus.unregister(rs.sink_id);
-        }
-        for ss in self.shard_spines.lock().drain(..) {
-            ss.bus.unregister(ss.sink_id);
+        for ks in self.keyed_spines.lock().drain(..) {
+            for (bus, id) in ks.sinks {
+                bus.unregister(id);
+            }
         }
     }
 
@@ -473,15 +399,18 @@ mod tests {
     }
 
     #[test]
-    fn rank_spines_attribute_traffic_per_rank() {
+    fn keyed_spines_attribute_traffic_per_column() {
         let sim = Sim::new();
         let dev = Device::new(DeviceSpec::optane("nvme0"));
         let dstat = Dstat::spawn(&sim, vec![dev], Duration::from_secs(1));
-        let buses: Vec<ProbeBus> = (0..2).map(|_| ProbeBus::new()).collect();
-        dstat.attach_rank_spine(0, &buses[0]);
-        dstat.attach_rank_spine(1, &buses[1]);
+        let buses: Vec<ProbeBus> = (0..3).map(|_| ProbeBus::new()).collect();
+        // Column 0 is one bus, column 1 is fed by two (a two-rank node).
+        dstat.attach_keyed_spine(0, &buses[0]);
+        dstat.attach_keyed_spine(1, &buses[1]);
+        dstat.attach_keyed_spine(1, &buses[2]);
+        dstat.attach_keyed_spine(1, &buses[2]); // same bus, same key: ignored
         let stop = dstat.stop.clone();
-        let emit = |bus: &ProbeBus, len: u64| {
+        let emit = |bus: &ProbeBus, kind: EventKind| {
             let t = simrt::now();
             bus.emit(IoEvent {
                 task: simrt::current_task(),
@@ -489,19 +418,30 @@ mod tests {
                 t0: t,
                 t1: t,
                 origin: probe::Origin::App,
-                target: probe::intern("/mnt/shard"),
-                kind: EventKind::Read {
-                    fd: 3,
-                    offset: 0,
-                    len,
-                },
+                target: probe::intern("/mnt/keyed"),
+                kind,
             });
         };
+        let read = |len| EventKind::Read {
+            fd: 3,
+            offset: 0,
+            len,
+        };
         sim.spawn("workload", move || {
-            // Rank 0 reads 3 MiB/interval, rank 1 reads 1 MiB/interval.
+            // Per interval: column 0 reads 3 MiB; column 1 reads 1 MiB on
+            // each of its buses and writes 2 MiB on one.
             for _ in 0..25 {
-                emit(&buses[0], 3 << 20);
-                emit(&buses[1], 1 << 20);
+                emit(&buses[0], read(3 << 20));
+                emit(&buses[1], read(1 << 20));
+                emit(&buses[2], read(1 << 20));
+                emit(
+                    &buses[2],
+                    EventKind::Write {
+                        fd: 3,
+                        offset: 0,
+                        len: 2 << 20,
+                    },
+                );
                 simrt::sleep(Duration::from_millis(100));
             }
             stop.set();
@@ -510,81 +450,14 @@ mod tests {
         let samples = dstat.samples();
         assert!(samples.len() >= 2, "got {} samples", samples.len());
         let s = &samples[0];
-        assert_eq!(s.rank_read(0), 30 << 20);
-        assert_eq!(s.rank_read(1), 10 << 20);
-        assert_eq!(s.rank_write(0), 0);
-        // Attribution is complete: rank columns sum to the aggregate
-        // spine column once it is also attached... here it is not, so
-        // the aggregate stays zero while rank columns carry the split.
+        assert_eq!(s.keyed_read(0), 30 << 20);
+        assert_eq!(s.keyed_read(1), 20 << 20, "both buses feed column 1");
+        assert_eq!(s.keyed_write(0), 0);
+        assert_eq!(s.keyed_write(1), 20 << 20);
+        // The aggregate spine is not attached, so it stays zero while the
+        // keyed columns carry the split.
         assert_eq!(s.sys_read_bytes, 0);
-        assert_eq!(s.rank_read(7), 0, "unattached rank reads as zero");
-    }
-
-    #[test]
-    fn shard_spines_attribute_traffic_per_rank_group() {
-        let sim = Sim::new();
-        let dev = Device::new(DeviceSpec::optane("nvme0"));
-        let dstat = Dstat::spawn(&sim, vec![dev], Duration::from_secs(1));
-        let buses: Vec<ProbeBus> = (0..2).map(|_| ProbeBus::new()).collect();
-        dstat.attach_shard_spine(0, &buses[0]);
-        dstat.attach_shard_spine(1, &buses[1]);
-        dstat.attach_shard_spine(1, &buses[0]); // duplicate id: ignored
-        let stop = dstat.stop.clone();
-        let emit = |bus: &ProbeBus, len: u64| {
-            let t = simrt::now();
-            bus.emit(IoEvent {
-                task: simrt::current_task(),
-                pid: 0,
-                t0: t,
-                t1: t,
-                origin: probe::Origin::App,
-                target: probe::intern("/mnt/shard"),
-                kind: EventKind::Write {
-                    fd: 3,
-                    offset: 0,
-                    len,
-                },
-            });
-        };
-        sim.spawn("workload", move || {
-            // Shard 0's ranks write 2 MiB/interval, shard 1's 1 MiB.
-            for _ in 0..25 {
-                emit(&buses[0], 2 << 20);
-                emit(&buses[1], 1 << 20);
-                simrt::sleep(Duration::from_millis(100));
-            }
-            stop.set();
-        });
-        sim.run();
-        let samples = dstat.samples();
-        assert!(samples.len() >= 2, "got {} samples", samples.len());
-        let s = &samples[0];
-        assert_eq!(s.shard_write(0), 20 << 20);
-        assert_eq!(s.shard_write(1), 10 << 20);
-        assert_eq!(s.shard_read(0), 0);
-        assert_eq!(s.shard_read(9), 0, "unattached shard reads as zero");
-    }
-
-    #[test]
-    fn rank_columns_cap_at_max() {
-        let sim = Sim::new();
-        let dev = Device::new(DeviceSpec::optane("nvme0"));
-        let dstat = Dstat::spawn(&sim, vec![dev], Duration::from_secs(1));
-        let bus = ProbeBus::new();
-        for rank in 0..MAX_RANK_COLUMNS as u32 {
-            assert!(dstat.attach_rank_spine(rank, &bus));
-        }
-        assert!(
-            !dstat.attach_rank_spine(MAX_RANK_COLUMNS as u32, &bus),
-            "column {MAX_RANK_COLUMNS} refused"
-        );
-        assert!(
-            dstat.attach_rank_spine(3, &bus),
-            "re-attaching an existing rank still reports attached"
-        );
-        let stop = dstat.stop.clone();
-        sim.spawn("t", move || stop.set());
-        sim.run();
+        assert_eq!(s.keyed_read(7), 0, "unattached key reads as zero");
     }
 
     #[test]

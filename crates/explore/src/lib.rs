@@ -437,7 +437,7 @@ where
         delivered,
     });
     let sink_id = bus.register(sink.clone());
-    let handle = IoSanitizer::install(&sim, &bus);
+    let handle = IoSanitizer::install(&sim, &[&bus]);
     let panicked = catch_unwind(AssertUnwindSafe(|| sim.run())).err();
     let stats = sim.stats();
     let mut report = handle.finalize();

@@ -116,9 +116,9 @@ struct Inner {
     /// only when a finding is rendered).
     obj_labels: HashMap<u64, PathId>,
     files: HashMap<PathId, FileHistory>,
-    /// Descriptor state keyed by `(pid, fd)`: on a shared job spine every
-    /// rank has its own fd namespace, so fd numbers collide across
-    /// processes.
+    /// Descriptor state keyed by `(pid, fd)`: a sanitizer watching a
+    /// job's rank buses folds several processes, each with its own fd
+    /// namespace, so fd numbers collide across them.
     fds: HashMap<(u32, i32), FdState>,
     /// Race dedup: one finding per (file, task pair).
     reported_races: HashSet<(PathId, u64, u64)>,
@@ -547,17 +547,22 @@ impl IoSanitizer {
         Arc::new(Self::default())
     }
 
-    /// Register the sanitizer on `bus` and bridge `sim`'s sync events onto
-    /// the same spine. Call before `sim.run()`; call
-    /// [`SanitizerHandle::finalize`] after it returns.
-    pub fn install(sim: &Sim, bus: &ProbeBus) -> SanitizerHandle {
+    /// Register the sanitizer on every bus in `buses` (one process's, or
+    /// each rank's of a job) and bridge `sim`'s sync events onto the first.
+    /// The probe ring delivers runs across buses in emission order, so the
+    /// sanitizer folds one interleaved I/O and sync stream. Call before
+    /// `sim.run()`; call [`SanitizerHandle::finalize`] after it returns.
+    pub fn install(sim: &Sim, buses: &[&ProbeBus]) -> SanitizerHandle {
+        assert!(!buses.is_empty(), "the sanitizer needs a bus to watch");
         let san = Self::new();
-        let sink_id = bus.register(san.clone());
-        SyncBridge::install(sim, bus.clone());
+        let sinks = buses
+            .iter()
+            .map(|&bus| (bus.clone(), bus.register(san.clone())))
+            .collect();
+        SyncBridge::install(sim, buses[0].clone());
         SanitizerHandle {
             sim: sim.clone(),
-            bus: bus.clone(),
-            sink_id,
+            sinks,
             san,
         }
     }
@@ -632,8 +637,7 @@ impl ProbeSink for IoSanitizer {
 /// `Sim::run` to unhook and collect the report.
 pub struct SanitizerHandle {
     sim: Sim,
-    bus: ProbeBus,
-    sink_id: SinkId,
+    sinks: Vec<(ProbeBus, SinkId)>,
     san: Arc<IoSanitizer>,
 }
 
@@ -643,9 +647,11 @@ impl SanitizerHandle {
         &self.san
     }
 
-    /// Unhook from the bus and scheduler and produce the report.
+    /// Unhook from the buses and scheduler and produce the report.
     pub fn finalize(self) -> SanitizerReport {
-        self.bus.unregister(self.sink_id); // flushes the calling thread
+        for (bus, id) in &self.sinks {
+            bus.unregister(*id); // flushes the calling thread
+        }
         self.sim.clear_sync_observer();
         self.san.finalize_report()
     }
@@ -820,8 +826,8 @@ mod tests {
 
     #[test]
     fn fd_namespaces_are_per_process() {
-        // On a shared job spine every rank has its own fd table: rank A
-        // closing its fd 7 must not poison rank B's (different pid) fd 7.
+        // A sanitizer on several rank buses folds several fd tables: rank
+        // A closing its fd 7 must not poison rank B's (different pid) fd 7.
         let at = |mut e: IoEvent, pid: u32| {
             e.pid = pid;
             e

@@ -8,7 +8,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -126,8 +126,9 @@ pub struct FdEntry {
 pub struct Process {
     stack: StorageStack,
     /// Process id, unique per simulation host. Stamped into every probe
-    /// event: fd numbers are only unique per process, so consumers of a
-    /// shared job spine need the pid to key per-descriptor state.
+    /// event: fd numbers are only unique per process, so a sink registered
+    /// on several processes' buses needs the pid to key per-descriptor
+    /// state.
     pid: u32,
     got: Got,
     /// Fd table, indexed by `fd - FIRST_FD`. Descriptors are allocated
@@ -142,14 +143,6 @@ pub struct Process {
     libraries: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
     /// The process's instrumentation backplane (event spine).
     probe: ProbeBus,
-    /// Shared spines: buses owned by a job this process is a rank of
-    /// (its rank-group shard bus, optionally a job-wide bus). Every event
-    /// emitted on `probe` is mirrored onto each, so shard-local and
-    /// job-wide consumers see this rank's I/O in one op-completion-ordered
-    /// stream per bus. Attach order is emit order.
-    shared_spines: RwLock<Vec<ProbeBus>>,
-    /// Fast-path flag: at least one shared spine is attached.
-    has_shared: AtomicBool,
     /// Kernel-entry overhead charged by the default libc per syscall.
     pub syscall_overhead: Duration,
 }
@@ -173,8 +166,6 @@ impl Process {
             next_map: AtomicU64::new(1),
             libraries: Mutex::new(HashMap::new()),
             probe: ProbeBus::new(),
-            shared_spines: RwLock::new(Vec::new()),
-            has_shared: AtomicBool::new(false),
             syscall_overhead: Duration::from_nanos(300),
         })
     }
@@ -191,59 +182,12 @@ impl Process {
         &self.probe
     }
 
-    /// Attach a shared spine: every event this process emits on its own
-    /// spine is also mirrored onto `bus`. Used when the process is one
-    /// rank of an MPI job — the job attaches the rank's shard bus (and,
-    /// on demand, a job-wide bus), so shared consumers get this rank's
-    /// I/O (and, via `probe::SyncBridge`, the job's sync events) in a
-    /// single op-completion-ordered stream per bus. Per-rank consumers
-    /// keep reading [`Process::probe`] and never see the other ranks.
-    /// A process can carry several spines; re-attaching the same bus is
-    /// a no-op.
-    pub fn attach_shared_spine(&self, bus: &ProbeBus) {
-        let mut spines = self.shared_spines.write();
-        if !spines.iter().any(|b| b.same_bus(bus)) {
-            spines.push(bus.clone());
-        }
-        self.has_shared.store(true, Ordering::Release);
-    }
-
-    /// Detach one shared spine (matched by bus identity), leaving any
-    /// others attached. Idempotent.
-    pub fn detach_spine(&self, bus: &ProbeBus) {
-        let mut spines = self.shared_spines.write();
-        spines.retain(|b| !b.same_bus(bus));
-        if spines.is_empty() {
-            self.has_shared.store(false, Ordering::Release);
-        }
-    }
-
-    /// Detach **every** shared spine attached by
-    /// [`Process::attach_shared_spine`]. Idempotent.
-    pub fn detach_shared_spine(&self) {
-        self.has_shared.store(false, Ordering::Release);
-        self.shared_spines.write().clear();
-    }
-
-    /// The first attached shared spine, if any (attach order).
-    pub fn shared_spine(&self) -> Option<ProbeBus> {
-        self.shared_spines.read().first().cloned()
-    }
-
-    /// All attached shared spines, attach order.
-    pub fn shared_spines(&self) -> Vec<ProbeBus> {
-        self.shared_spines.read().clone()
-    }
-
-    /// Timestamp an instrumented operation's entry: `Some(now)` when a
-    /// spine (the process's own or the attached job spine) has sinks and we
-    /// are on a simulated thread, else `None` (and the operation emits
-    /// nothing).
+    /// Timestamp an instrumented operation's entry: `Some(now)` when the
+    /// process's spine has sinks and we are on a simulated thread, else
+    /// `None` (and the operation emits nothing).
     #[inline]
     pub(crate) fn probe_t0(&self) -> Option<SimTime> {
-        let shared_active = self.has_shared.load(Ordering::Acquire)
-            && self.shared_spines.read().iter().any(|b| b.is_active());
-        if self.probe.is_active() || shared_active {
+        if self.probe.is_active() {
             simrt::try_now()
         } else {
             None
@@ -260,7 +204,7 @@ impl Process {
             Some(t) => t,
             None => return,
         };
-        let ev = IoEvent {
+        self.probe.emit(IoEvent {
             task: simrt::current_task(),
             pid: self.pid,
             t0,
@@ -268,17 +212,7 @@ impl Process {
             origin: crate::libc::current_origin(),
             target,
             kind,
-        };
-        if self.has_shared.load(Ordering::Acquire) {
-            for bus in self.shared_spines.read().iter() {
-                if bus.is_active() {
-                    bus.emit(ev.clone());
-                }
-            }
-        }
-        if self.probe.is_active() {
-            self.probe.emit(ev);
-        }
+        });
     }
 
     /// The process's storage stack (mount table).

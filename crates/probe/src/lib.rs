@@ -224,9 +224,9 @@ pub struct IoEvent {
     /// Simulated thread that performed the operation.
     pub task: TaskId,
     /// Process the operation belongs to (0 = unattributed, e.g. sync
-    /// bridge events). Fd numbers are only unique per process, so
-    /// consumers of a shared multi-process bus (a job spine) must key any
-    /// per-descriptor state by `(pid, fd)`, never by fd alone.
+    /// bridge events). Fd numbers are only unique per process, so a sink
+    /// registered on several processes' buses (a job-wide consumer) must
+    /// key any per-descriptor state by `(pid, fd)`, never by fd alone.
     pub pid: u32,
     /// Virtual time at operation entry (includes modeled syscall overhead).
     pub t0: SimTime,
@@ -349,11 +349,6 @@ impl ProbeBus {
         self.inner.active.load(Ordering::Relaxed) != 0
     }
 
-    /// Number of registered sinks.
-    pub fn sink_count(&self) -> usize {
-        self.inner.active.load(Ordering::Relaxed)
-    }
-
     /// Register a sink. Events already buffered on the current thread are
     /// flushed first so the new sink only sees operations that complete
     /// after registration.
@@ -414,21 +409,6 @@ impl ProbeBus {
         let mut pending = RING.with(|r| r.borrow_mut().take());
         pending.append(&self.inner, event);
         pending.deliver_runs();
-    }
-
-    /// Deliver a pre-built batch straight to this bus's sinks, bypassing
-    /// the per-thread ring. The merge stage for sharded topologies: a
-    /// relay draining several shard buses re-emits each drained batch onto
-    /// a downstream bus with one call. Events arrive in batch order, but
-    /// nothing orders *across* batches from different shards — only
-    /// order-insensitive consumers (commutative counters, gauges) should
-    /// sit downstream; strict happens-before consumers need a bus the
-    /// events were emitted to directly.
-    pub fn deliver_batch(&self, events: &[IoEvent]) {
-        if events.is_empty() || !self.is_active() {
-            return;
-        }
-        deliver(&self.inner, events);
     }
 
     /// Whether two handles refer to the same underlying bus (one ring tag,

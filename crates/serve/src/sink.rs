@@ -184,22 +184,6 @@ impl ServeSink {
             .map(|session| self.publish_session(&session))
             .collect()
     }
-
-    /// Register this sink's live gauges across every **shard bus** of
-    /// `job` — the fleet-scale registration: live counters are commutative
-    /// folds, so they need every rank's events but not the job-wide
-    /// ordering, and riding the shards avoids forcing the job to mirror
-    /// all N ranks onto one spine (`JobCtx::job_bus`) just for gauges.
-    /// Returns the registrations for [`ServeSink::detach_live_gauges`].
-    pub fn attach_live_gauges(self: &Arc<Self>, job: &JobCtx) -> Vec<(usize, probe::SinkId)> {
-        let sink: Arc<dyn ProbeSink> = self.clone();
-        job.attach_shard_merge(sink)
-    }
-
-    /// Unregister gauges attached with [`ServeSink::attach_live_gauges`].
-    pub fn detach_live_gauges(&self, job: &JobCtx, ids: &[(usize, probe::SinkId)]) {
-        job.detach_shard_merge(ids);
-    }
 }
 
 impl ProbeSink for ServeSink {

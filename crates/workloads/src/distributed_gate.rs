@@ -3,7 +3,7 @@
 //! The single-process gate (`iosan_gate`) sweeps the paper's workload
 //! shapes; this gate exercises the *distributed* spine instead — N ranks
 //! over one Lustre scratch, profiled per rank by [`JobCtx`] and sanitized
-//! job-wide on the shared job bus:
+//! job-wide by one sanitizer registered on every rank's bus:
 //!
 //! 1. every rank `pwrite`s its disjoint region of one shared checkpoint
 //!    file (parallel Darshan's shared-record case);
@@ -36,13 +36,13 @@ pub const SHARD_FILES: usize = 4;
 pub const SHARD_FILE_BYTES: u64 = 256 << 10;
 
 /// What the gate produced: the job-level profile plus the sanitizer's
-/// verdict over the job bus.
+/// verdict over every rank's events.
 pub struct DistributedGateOutcome {
     /// Ranks that ran.
     pub world_size: usize,
     /// Per-rank sessions reduced to the job view.
     pub report: JobReport,
-    /// Findings over the shared job bus (empty on a healthy tree).
+    /// Findings over the job's events (empty on a healthy tree).
     pub sanitizer: SanitizerReport,
 }
 
@@ -64,7 +64,8 @@ pub fn run_distributed_gate(world_size: usize) -> DistributedGateOutcome {
 
     let world = MpiWorld::new(&m.stack, world_size, NetworkModel::default());
     let job = Arc::new(JobCtx::over_world(&world, &TfDarshanConfig::default()));
-    let san = IoSanitizer::install(&m.sim, job.job_bus());
+    let buses: Vec<_> = job.ranks().iter().map(|r| r.probe()).collect();
+    let san = IoSanitizer::install(&m.sim, &buses);
 
     let j2 = job.clone();
     world.spawn_ranks(&m.sim, move |comm| {

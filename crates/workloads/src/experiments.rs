@@ -225,7 +225,7 @@ pub fn run(w: Workload, cfg: RunConfig) -> RunOutput {
     // Sanitizer goes on the spine first so it observes every event of the
     // run, including dataset staging and daemon traffic.
     let san = if cfg.sanitize {
-        Some(IoSanitizer::install(&m.sim, m.process.probe()))
+        Some(IoSanitizer::install(&m.sim, &[m.process.probe()]))
     } else {
         None
     };

@@ -20,11 +20,10 @@
 //!   are collectives too: each carrier start/stop-snapshots its own
 //!   rank span (`JobCtx::mark_{start,stop}_span`) so the per-rank
 //!   snapshot cost parallelizes over nodes.
-//! * **Sharded buses** — the [`JobCtx`] attaches every rank to its
-//!   rank-group shard bus; per-shard dstat columns attribute traffic per
-//!   node group. The job-wide bus is only materialized when the run is
-//!   sanitized ([`FleetConfig::sanitize`]), exercising the lazy
-//!   `JobCtx::job_bus` path.
+//! * **One bus per rank** — every event lands on its rank's own probe
+//!   bus. Job-wide consumers register on every rank's bus: per-node dstat
+//!   columns feed one counter from a node's ranks, and the sanitizer
+//!   ([`FleetConfig::sanitize`]) watches all of them in emission order.
 //! * **Tree reduction** — the per-rank sessions are reduced by the
 //!   log-depth `spawn_tree_reduce` event task on the same calendar; its
 //!   modeled virtual cost (and the flat O(N) cost it replaces) land in
@@ -79,24 +78,20 @@ pub struct FleetConfig {
     pub ranks_per_node: usize,
     /// Bytes each rank reads from its private file.
     pub rank_file_bytes: u64,
-    /// Ranks per `JobCtx` probe-bus shard.
-    pub shard_ranks: usize,
-    /// Install the sanitizer on the job-wide bus (forces the lazy
-    /// `job_bus` attach on every rank).
+    /// Install the sanitizer on every rank's bus.
     pub sanitize: bool,
-    /// Sample per-shard dstat columns during the run.
+    /// Sample per-node dstat columns during the run.
     pub dstat: bool,
 }
 
 impl FleetConfig {
     /// Defaults for `world_size` ranks: 64 ranks/node, 256 KiB per rank,
-    /// 64-rank shards, unsanitized, with dstat columns.
+    /// unsanitized, with dstat columns.
     pub fn new(world_size: usize) -> Self {
         FleetConfig {
             world_size,
             ranks_per_node: 64,
             rank_file_bytes: 256 << 10,
-            shard_ranks: 64,
             sanitize: false,
             dstat: true,
         }
@@ -124,10 +119,10 @@ pub struct FleetOutcome {
     pub stats: SchedStats,
     /// Peak resident set (`VmHWM`) of this process in KiB, off procfs.
     pub peak_rss_kib: Option<u64>,
-    /// Per-shard dstat read-byte totals over the run (shard order), when
+    /// Per-node dstat read-byte totals over the run (node order), when
     /// [`FleetConfig::dstat`] was set.
-    pub shard_read_totals: Vec<u64>,
-    /// Sanitizer verdict over the job-wide bus, when sanitized.
+    pub node_read_totals: Vec<u64>,
+    /// Sanitizer verdict over every rank's events, when sanitized.
     pub sanitizer: Option<SanitizerReport>,
 }
 
@@ -185,19 +180,20 @@ pub fn run_fleet_scale(cfg: &FleetConfig) -> FleetOutcome {
     }
     stack.create_synthetic(MANIFEST, MANIFEST_BYTES, 7).unwrap();
 
-    let job = Arc::new(JobCtx::with_shard_ranks(
+    let job = Arc::new(JobCtx::new(
         &stack,
         cfg.world_size,
         &TfDarshanConfig::default(),
-        cfg.shard_ranks,
     ));
-    let san = cfg
-        .sanitize
-        .then(|| IoSanitizer::install(&sim, job.job_bus()));
+    let san = cfg.sanitize.then(|| {
+        let buses: Vec<_> = job.ranks().iter().map(|r| r.probe()).collect();
+        IoSanitizer::install(&sim, &buses)
+    });
     let dstat = cfg.dstat.then(|| {
         let d = Arc::new(Dstat::spawn(&sim, devices, Duration::from_millis(10)));
-        for s in 0..job.shard_count() {
-            d.attach_shard_spine(s as u32, job.shard_bus(s));
+        for r in job.ranks() {
+            let node = r.rank() as usize / cfg.ranks_per_node;
+            d.attach_keyed_spine(node as u32, r.probe());
         }
         d
     });
@@ -226,8 +222,8 @@ pub fn run_fleet_scale(cfg: &FleetConfig) -> FleetOutcome {
             // Bounded manifest fan-in: only the first MANIFEST_READERS
             // node leaders hit the shared Lustre MDS, so the job's
             // metadata pressure on the scratch stays constant with node
-            // count — and the manifest still merges as a cross-node,
-            // cross-shard shared record at the root of the tree.
+            // count — and the manifest still merges as a cross-node
+            // shared record at the root of the tree.
             if n < MANIFEST_READERS {
                 let p = job.rank(lo).process();
                 let fd = p.open(MANIFEST, OpenFlags::rdonly()).unwrap();
@@ -285,11 +281,11 @@ pub fn run_fleet_scale(cfg: &FleetConfig) -> FleetOutcome {
     let (w0, w1) = report.job.window;
     let io_virtual_secs = (w1 - w0).max(f64::EPSILON);
     let bytes_read = report.job.io.bytes_read;
-    let shard_read_totals = dstat
+    let node_read_totals = dstat
         .map(|d| {
             let samples = d.samples();
-            (0..job.shard_count() as u32)
-                .map(|s| samples.iter().map(|smp| smp.shard_read(s)).sum())
+            (0..nodes as u32)
+                .map(|n| samples.iter().map(|smp| smp.keyed_read(n)).sum())
                 .collect()
         })
         .unwrap_or_default();
@@ -304,13 +300,13 @@ pub fn run_fleet_scale(cfg: &FleetConfig) -> FleetOutcome {
         report,
         stats: sim.stats(),
         peak_rss_kib: peak_rss_kib(),
-        shard_read_totals,
+        node_read_totals,
         sanitizer: san.map(|s| s.finalize()),
     }
 }
 
-/// The CI gate shape: `world_size` ranks, sanitized job bus, dstat shard
-/// columns on. CI runs this at 256 ranks and fails on any finding.
+/// The CI gate shape: `world_size` ranks, sanitized, dstat node columns
+/// on. CI runs this at 256 ranks and fails on any finding.
 pub fn run_fleet_gate(world_size: usize) -> FleetOutcome {
     let cfg = FleetConfig {
         sanitize: true,
@@ -349,9 +345,9 @@ mod tests {
         assert_eq!(count(&node_index_path(1)), 1, "node 1 index merged once");
         // Private bytes + per-rank index reads + both leaders' manifest.
         assert!(out.bytes_read >= 128 * ((256 << 10) + NODE_INDEX_BYTES) + 2 * MANIFEST_BYTES);
-        // Shard columns attributed the traffic (64 ranks/shard -> 2).
-        assert_eq!(out.shard_read_totals.len(), 2);
-        assert!(out.shard_read_totals.iter().all(|&b| b > 0));
+        // Node columns attributed the traffic (64 ranks/node -> 2).
+        assert_eq!(out.node_read_totals.len(), 2);
+        assert!(out.node_read_totals.iter().all(|&b| b > 0));
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn run_sched_scale(sim_threads: usize, rounds: usize, sanitize: bool) -> Sch
             .create_synthetic(&format!("/data/hdd/scale/c{c}"), CARRIER_READ, c as u64)
             .unwrap();
     }
-    let san = sanitize.then(|| IoSanitizer::install(&m.sim, m.process.probe()));
+    let san = sanitize.then(|| IoSanitizer::install(&m.sim, &[m.process.probe()]));
 
     let mut peak = os_threads();
     let barrier = Arc::new(Barrier::new(sim_threads));

@@ -1,7 +1,7 @@
-//! The fleet gate: a 256-rank job over the sharded fleet stack — node
-//! carriers driving 64 ranks each, per-shard probe buses, the lazily
-//! attached job-wide bus under the I/O sanitizer, and the log-depth tree
-//! reduction on the same calendar. Fails (exit 1) on any sanitizer
+//! The fleet gate: a 256-rank job over the fleet stack — node carriers
+//! driving 64 ranks each, one probe bus per rank, the I/O sanitizer
+//! registered on every rank's bus, and the log-depth tree reduction on
+//! the same calendar. Fails (exit 1) on any sanitizer
 //! finding, a missing rank, or a reduce that regressed to the flat-merge
 //! cost. CI runs this binary in the `fleet` job.
 //!

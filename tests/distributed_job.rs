@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use tf_darshan::iosan::{Category, IoSanitizer};
 use tf_darshan::mpi::{MpiWorld, NetworkModel};
 use tf_darshan::posix::{OpenFlags, Process};
-use tf_darshan::probe::ProbeBus;
+use tf_darshan::probe::CollectingSink;
 use tf_darshan::storage::{
     FileSystem, LustreFs, LustreParams, PageCache, StorageStack, WritePayload,
 };
@@ -140,11 +140,8 @@ fn interleaved_writes(ordered: bool) -> usize {
         .create_synthetic("/scratch/shared.bin", 64 << 10, 7)
         .unwrap();
     let world = MpiWorld::new(&stack, 2, NetworkModel::default());
-    let bus = ProbeBus::new();
-    for r in 0..2 {
-        world.process(r).attach_shared_spine(&bus);
-    }
-    let san = IoSanitizer::install(&sim, &bus);
+    let (p0, p1) = (world.process(0), world.process(1));
+    let san = IoSanitizer::install(&sim, &[p0.probe(), p1.probe()]);
     world.spawn_ranks(&sim, move |comm| {
         let p = comm.process();
         let fd = p
@@ -184,8 +181,85 @@ fn collective_sync_events_order_shared_file_writes() {
         0,
         "barrier-ordered same-range writes are race-free"
     );
-    assert!(
-        interleaved_writes(false) > 0,
+    assert_eq!(
+        interleaved_writes(false),
+        1,
         "without the collective the same writes race"
     );
+}
+
+/// A job-wide sink registered on every rank's bus sees each rank's events
+/// exactly once, in global emission order, and nothing once detached.
+#[test]
+fn shard_merge_sink_sees_every_rank_once_in_emission_order() {
+    const RANKS: usize = 4;
+    let sim = simrt::Sim::new();
+    let stack = scratch_stack();
+    for r in 0..RANKS {
+        stack
+            .create_synthetic(&format!("/scratch/dj/r{r}"), 256 << 10, r as u64)
+            .unwrap();
+    }
+    let job = Arc::new(JobCtx::new(&stack, RANKS, &TfDarshanConfig::default()));
+    let per_rank: Vec<Arc<CollectingSink>> = job
+        .ranks()
+        .iter()
+        .map(|r| {
+            let sink = Arc::new(CollectingSink::new());
+            r.probe().register(sink.clone());
+            sink
+        })
+        .collect();
+    let merged = Arc::new(CollectingSink::new());
+    let ids = Arc::new(Mutex::new(job.attach_shard_merge(merged.clone())));
+    assert_eq!(ids.lock().len(), RANKS, "one registration per rank");
+
+    let read_all = |p: &Arc<Process>, path: &str| {
+        let fd = p.open(path, OpenFlags::rdonly()).unwrap();
+        let mut off = 0u64;
+        loop {
+            let n = p.pread(fd, off, 32 << 10, None).unwrap();
+            if n == 0 {
+                break;
+            }
+            off += n;
+        }
+        p.close(fd).unwrap();
+    };
+    let barrier = Arc::new(simrt::sync::Barrier::new(RANKS));
+    for r in 0..RANKS {
+        let (job, ids, barrier) = (job.clone(), ids.clone(), barrier.clone());
+        sim.spawn(format!("rank{r}"), move || {
+            let p = job.rank(r).process().clone();
+            let path = format!("/scratch/dj/r{r}");
+            read_all(&p, &path);
+            barrier.wait();
+            if r == 0 {
+                job.detach_shard_merge(&ids.lock());
+            }
+            barrier.wait();
+            read_all(&p, &path);
+        });
+    }
+    sim.run();
+
+    let merged = merged.take();
+    let per_rank: Vec<Vec<_>> = per_rank.iter().map(|s| s.take()).collect();
+    for (r, own) in per_rank.iter().enumerate() {
+        let pid = job.rank(r).process().pid();
+        let seen: Vec<_> = merged.iter().filter(|e| e.pid == pid).cloned().collect();
+        // Each rank read its file twice; only the first pass was merged.
+        assert_eq!(seen.len() * 2, own.len(), "rank {r}: detached halfway");
+        assert_eq!(seen[..], own[..seen.len()], "rank {r}: each event once");
+    }
+    assert_eq!(
+        merged.len(),
+        per_rank.iter().map(|o| o.len() / 2).sum::<usize>(),
+        "no event outside the ranks' own"
+    );
+    // Global emission order: completion times never go backwards, and the
+    // ranks' streams really interleave (it is not one rank after another).
+    assert!(merged.windows(2).all(|w| w[0].t1 <= w[1].t1));
+    let switches = merged.windows(2).filter(|w| w[0].pid != w[1].pid).count();
+    assert!(switches > RANKS, "only {switches} rank switches");
 }

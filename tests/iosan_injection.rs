@@ -44,7 +44,7 @@ fn rdwr_create() -> OpenFlags {
 #[test]
 fn unlocked_concurrent_overlapping_writes_are_a_data_race() {
     let (sim, p) = fixture();
-    let handle = IoSanitizer::install(&sim, p.probe());
+    let handle = IoSanitizer::install(&sim, &[p.probe()]);
     for name in ["w1", "w2"] {
         let p = p.clone();
         // Spawned from the host: no spawn edge orders the two writers.
@@ -72,7 +72,7 @@ fn unlocked_concurrent_overlapping_writes_are_a_data_race() {
 #[test]
 fn mutex_protected_overlapping_writes_are_clean() {
     let (sim, p) = fixture();
-    let handle = IoSanitizer::install(&sim, p.probe());
+    let handle = IoSanitizer::install(&sim, &[p.probe()]);
     let lock = Arc::new(Mutex::named((), Some("shared-file")));
     for name in ["w1", "w2"] {
         let p = p.clone();
@@ -93,7 +93,7 @@ fn mutex_protected_overlapping_writes_are_clean() {
 #[test]
 fn spawn_join_ordered_overlapping_writes_are_clean() {
     let (sim, p) = fixture();
-    let handle = IoSanitizer::install(&sim, p.probe());
+    let handle = IoSanitizer::install(&sim, &[p.probe()]);
     {
         let p = p.clone();
         let sim2 = sim.clone();
@@ -124,7 +124,7 @@ fn spawn_join_ordered_overlapping_writes_are_clean() {
 #[test]
 fn disjoint_concurrent_writes_are_clean() {
     let (sim, p) = fixture();
-    let handle = IoSanitizer::install(&sim, p.probe());
+    let handle = IoSanitizer::install(&sim, &[p.probe()]);
     for (name, offset) in [("w1", 0u64), ("w2", 1 << 20)] {
         let p = p.clone();
         sim.spawn(name, move || {
@@ -145,7 +145,7 @@ fn disjoint_concurrent_writes_are_clean() {
 #[test]
 fn lock_order_inversion_is_predicted_without_a_deadlock() {
     let (sim, p) = fixture();
-    let handle = IoSanitizer::install(&sim, p.probe());
+    let handle = IoSanitizer::install(&sim, &[p.probe()]);
     let a = Arc::new(Mutex::named(0u32, Some("A")));
     let b = Arc::new(Mutex::named(0u32, Some("B")));
     {
@@ -236,7 +236,7 @@ fn injected_double_close_and_use_after_close_are_reported() {
 #[test]
 fn fd_still_open_at_task_exit_is_a_leak() {
     let (sim, p) = fixture();
-    let handle = IoSanitizer::install(&sim, p.probe());
+    let handle = IoSanitizer::install(&sim, &[p.probe()]);
     {
         let p = p.clone();
         sim.spawn("leaky", move || {
@@ -316,7 +316,7 @@ proptest! {
         // common lock. However the scheduler interleaves them, the
         // sanitizer must stay quiet.
         let (sim, p) = fixture();
-        let handle = IoSanitizer::install(&sim, p.probe());
+        let handle = IoSanitizer::install(&sim, &[p.probe()]);
         let lock = Arc::new(Mutex::named((), Some("shared")));
         for wi in 0..writers {
             let p = p.clone();
