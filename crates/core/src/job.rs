@@ -274,24 +274,21 @@ impl JobCtx {
     /// until a start/stop pair exists on every rank. Runs the log-depth
     /// tree reduction ([`crate::job_tree::reduce_job_sessions_tree`]).
     pub fn collect(&self) -> Option<JobReport> {
-        let sessions: Vec<RankSession> = self.ranks.iter().filter_map(|r| r.session()).collect();
-        if sessions.len() != self.ranks.len() {
-            return None;
-        }
-        let (report, _) = crate::job_tree::reduce_job_sessions_tree(
-            &sessions,
-            self.ranks.len() as u32,
-            &crate::job_tree::TreeReduceConfig::default(),
-        );
-        Some(report)
+        self.reduce_sessions(self.ranks.len())
     }
 
     /// [`JobCtx::collect`] that tolerates missing ranks: reduces whatever
     /// sessions exist (`None` only when no rank has one) and surfaces the
     /// sessionless ranks in [`JobReport::missing_ranks`].
     pub fn collect_partial(&self) -> Option<JobReport> {
+        self.reduce_sessions(1)
+    }
+
+    /// Extract the ranks' sessions and tree-reduce them, or `None` when
+    /// fewer than `min` ranks have one.
+    fn reduce_sessions(&self, min: usize) -> Option<JobReport> {
         let sessions: Vec<RankSession> = self.ranks.iter().filter_map(|r| r.session()).collect();
-        if sessions.is_empty() {
+        if sessions.len() < min {
             return None;
         }
         let (report, _) = crate::job_tree::reduce_job_sessions_tree(

@@ -91,7 +91,7 @@ pub use report::{html_escape, overview, SchedStatsReport, TfDarshanReport};
 pub use staging::{
     advise_threshold, apply as apply_staging, plan_by_threshold, plan_within_budget, StagingPlan,
 };
-pub use tracer::{DarshanTracer, DarshanTracerFactory, ANALYSIS_PLANE, DXT_PLANE};
+pub use tracer::{export_dxt, DarshanTracer, DarshanTracerFactory, ANALYSIS_PLANE, DXT_PLANE};
 pub use wire::{SessionDiffMsg, WIRE_VERSION};
 pub use wrapper::{TfDarshanConfig, TfDarshanWrapper};
 
@@ -113,6 +113,10 @@ mod tests {
     }
 
     fn fixture(n_files: usize, file_size: u64) -> Fixture {
+        fixture_with(n_files, file_size, TfDarshanConfig::default())
+    }
+
+    fn fixture_with(n_files: usize, file_size: u64, config: TfDarshanConfig) -> Fixture {
         let sim = simrt::Sim::new();
         let fs = LocalFs::new(
             Device::new(DeviceSpec::sata_ssd("ssd0")),
@@ -130,7 +134,7 @@ mod tests {
             .collect();
         let process = posix_sim::Process::new(stack);
         let rt = TfRuntime::new(process.clone(), sim.clone(), 8);
-        let wrapper = TfDarshanWrapper::install(process, TfDarshanConfig::default());
+        let wrapper = TfDarshanWrapper::install(process, config);
         let tfd = DarshanTracerFactory::register(&rt, wrapper);
         Fixture {
             sim,
@@ -311,5 +315,42 @@ mod tests {
             t_full > t_light,
             "timeline export must cost time: {t_full:?} vs {t_light:?}"
         );
+    }
+
+    #[test]
+    fn a_window_whose_dxt_hit_its_cap_is_marked_truncated() {
+        let summary_stats = |cap: usize| -> Vec<(String, String)> {
+            let mut config = TfDarshanConfig::default();
+            config.darshan.dxt_max_segments = cap;
+            let f = fixture_with(10, 4096, config);
+            let (rt, files) = (f.rt, f.files);
+            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let slot = out.clone();
+            f.sim.spawn("main", move || {
+                let ds = Dataset::from_files(files).map(reader_map(), Parallelism::Fixed(2));
+                rt.profiler_start(ProfilerOptions::default()).unwrap();
+                let mut it = ds.iterate(&rt);
+                while it.next().is_some() {}
+                let space = rt.profiler_stop().unwrap();
+                let summary = &space.plane(ANALYSIS_PLANE).unwrap().lines[0].events[0];
+                *slot.lock() = summary
+                    .stats
+                    .iter()
+                    .map(|s| (s.name.clone(), s.value.clone()))
+                    .collect();
+            });
+            f.sim.run();
+            let stats = out.lock().clone();
+            stats
+        };
+        // 10 files × (data read + EOF probe) = 20 segments.
+        let capped = summary_stats(5);
+        assert_eq!(
+            capped.last(),
+            Some(&("dxt_truncated".to_string(), "true".to_string()))
+        );
+        let complete = summary_stats(20);
+        assert!(complete.iter().all(|(k, _)| k != "dxt_truncated"));
+        assert_eq!(complete.len() + 1, capped.len());
     }
 }

@@ -112,9 +112,9 @@ impl TfDarshanWrapper {
     /// snapshot ("our tracer calls the wrapper to make a copy of the
     /// Darshan module data structures" — §III.C). Snapshots are
     /// incremental: the extraction copies only records dirtied since the
-    /// previous one, and carries the extraction epoch plus the DXT append
-    /// watermarks the stop-side analysis threads through to `diff` and
-    /// [`TfDarshanWrapper::session_dxt`].
+    /// previous one, and carries the extraction epoch plus the DXT
+    /// watermark-log position the stop-side analysis threads through to
+    /// `diff` and [`TfDarshanWrapper::session_dxt`].
     pub fn mark_start(&self) -> Result<(), GotError> {
         self.attach()?;
         let snap = self.lib.runtime().snapshot();
@@ -141,9 +141,10 @@ impl TfDarshanWrapper {
         }
     }
 
-    /// DXT segments appended during the last window, extracted via the
-    /// snapshots' per-record append watermarks — O(session segments)
-    /// instead of a scan over every segment ever recorded, and a segment
+    /// DXT segments appended during the last window, sorted by start time
+    /// ([`darshan_sim::DarshanRuntime::dxt_between`] over the window's
+    /// snapshots): the cost follows the files and segments the window
+    /// touched, not every file or segment ever recorded, and a segment
     /// ending exactly at a snapshot boundary lands in exactly one window.
     pub fn session_dxt(&self) -> Vec<(u64, DxtSegment)> {
         let Some((a, b)) = self.session_snapshots() else {

@@ -23,11 +23,11 @@
 //! baseline, and hands out `Arc` clones of everything else — so both the
 //! host cost and the simulated gate-closed stall become
 //! `snapshot_cost_per_record × dirty_count` instead of `× total_records`.
-//! The same idea covers DXT (per-record append watermarks, see
-//! [`DarshanRuntime::dxt_between`]) and the name map (`Arc`'d
-//! copy-on-write). The legacy full-copy path survives as
-//! [`DarshanRuntime::snapshot_full`] for comparison and as the equivalence
-//! oracle.
+//! The same idea covers DXT (per-file append watermarks and a log of the
+//! files each capture marked, see [`DarshanRuntime::dxt_between`]) and
+//! the name map (`Arc`'d copy-on-write). The legacy full-copy path
+//! survives as [`DarshanRuntime::snapshot_full`] for comparison and as
+//! the equivalence oracle.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -203,6 +203,21 @@ struct DxtFile {
     segs: Vec<DxtSegment>,
     /// Extraction epoch of the last append (watermark dirtiness).
     dirty_epoch: u64,
+    /// Append watermarks: `(epoch, segment count)` for every capture that
+    /// found segments here beyond the previous mark, in epoch order. Each
+    /// mark stands for at least one segment, so marks never outnumber
+    /// segments.
+    marks: Vec<(u64, usize)>,
+}
+
+impl DxtFile {
+    /// Segment count as of the capture at `epoch`.
+    fn count_at(&self, epoch: u64) -> usize {
+        match self.marks.partition_point(|m| m.0 <= epoch) {
+            0 => 0,
+            i => self.marks[i - 1].1,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -210,12 +225,14 @@ struct DxtBuf {
     files: HashMap<u64, DxtFile>,
     total: usize,
     truncated: bool,
-    /// Files appended-to since the last watermark capture.
+    /// Files appended-to since the last incremental watermark capture.
     dirty: Vec<u64>,
     drained_epoch: u64,
-    /// Copy-on-write per-file append watermarks as of the last extraction:
-    /// rec_id → segment count. Only entries for dirty files are rewritten.
-    marks: Arc<HashMap<u64, usize>>,
+    /// Append-only log of the ids that got a new mark, in capture order.
+    /// A snapshot records this log's length as its `dxt_pos`, so the files
+    /// that changed between two snapshots are the entries between their
+    /// positions. One entry per mark.
+    log: Vec<u64>,
 }
 
 /// While a snapshot copies the module buffers it holds the module locks;
@@ -280,10 +297,14 @@ pub struct Snapshot {
     pub stdio_partial: bool,
     /// Total DXT segments recorded so far.
     pub dxt_segments: usize,
-    /// Per-record DXT append watermarks at extraction time (rec_id →
-    /// segments recorded). [`DarshanRuntime::dxt_between`] slices two of
-    /// these to extract exactly the segments appended in a session.
-    pub dxt_watermarks: Arc<HashMap<u64, usize>>,
+    /// True if DXT had hit `dxt_max_segments` and dropped segments by the
+    /// time of this snapshot: a window ending here has an incomplete trace.
+    pub dxt_truncated: bool,
+    /// Position in the runtime's DXT watermark log at extraction time.
+    /// [`DarshanRuntime::dxt_between`] visits only the log entries between
+    /// two snapshots' positions, and finds each file's counts at the two
+    /// snapshots' epochs.
+    pub dxt_pos: usize,
 }
 
 impl Snapshot {
@@ -682,21 +703,29 @@ impl DarshanRuntime {
     }
 
     /// Extract exactly the DXT segments appended between two snapshots of
-    /// this runtime, using the per-record append watermarks captured at
-    /// extraction time — O(new segments), no time-range scan and no
-    /// boundary double-counting when a segment ends exactly at a snapshot.
+    /// this runtime, as `(rec_id, segment)` pairs sorted by start time: per
+    /// file, the segments between its counts at the two snapshots. Only
+    /// the files whose watermarks moved in between are visited (the log
+    /// entries between the snapshots' `dxt_pos`), each count is a binary
+    /// search over that file's marks, and the result is sorted once — so
+    /// the cost follows the window's files and segments, not the files
+    /// held. No time-range scan, and a segment ending exactly at a
+    /// snapshot lands in exactly one window. Empty when `start` is not
+    /// before `stop`.
     pub fn dxt_between(&self, start: &Snapshot, stop: &Snapshot) -> Vec<(u64, DxtSegment)> {
         let d = self.dxt.lock();
+        let mut ids = match d.log.get(start.dxt_pos..stop.dxt_pos) {
+            Some(ids) => ids.to_vec(),
+            None => return Vec::new(),
+        };
+        ids.sort_unstable();
+        ids.dedup();
         let mut out: Vec<(u64, DxtSegment)> = Vec::new();
-        for (id, &hi) in stop.dxt_watermarks.iter() {
-            let lo = start.dxt_watermarks.get(id).copied().unwrap_or(0);
-            let hi = hi.min(d.files.get(id).map_or(0, |f| f.segs.len()));
-            if hi <= lo {
-                continue;
-            }
-            let f = &d.files[id];
-            for s in &f.segs[lo..hi] {
-                out.push((*id, *s));
+        for id in ids {
+            let f = &d.files[&id];
+            let (lo, hi) = (f.count_at(start.epoch), f.count_at(stop.epoch));
+            if hi > lo {
+                out.extend(f.segs[lo..hi].iter().map(|s| (id, *s)));
             }
         }
         out.sort_by(|a, b| a.1.start.total_cmp(&b.1.start).then(a.0.cmp(&b.0)));
@@ -779,13 +808,7 @@ impl DarshanRuntime {
             )
         };
         drop((pm, sm));
-        let (dxt_segments, dxt_watermarks) = if full {
-            let d = self.dxt.lock();
-            let marks = d.files.iter().map(|(id, f)| (*id, f.segs.len()));
-            (d.total, Arc::new(marks.collect()))
-        } else {
-            self.capture_dxt_marks(epoch)
-        };
+        let (dxt_segments, dxt_truncated, dxt_pos) = self.capture_dxt_marks(epoch, !full);
         Snapshot {
             taken_at,
             epoch,
@@ -795,25 +818,39 @@ impl DarshanRuntime {
             posix_partial,
             stdio_partial,
             dxt_segments,
-            dxt_watermarks,
+            dxt_truncated,
+            dxt_pos,
         }
     }
 
-    /// Refresh the copy-on-write watermark map for files appended-to since
-    /// the last capture, and return it with the segment total.
-    fn capture_dxt_marks(&self, epoch: u64) -> (usize, Arc<HashMap<u64, usize>>) {
+    /// Mark, at `epoch`, every file appended-to since the last
+    /// incremental capture that grew past its last mark, and log it. An
+    /// incremental capture (`drain`) then empties the dirty list; a full
+    /// one leaves it, so the next incremental capture still sees those
+    /// files (and marks only the ones that grew again). Returns the
+    /// segment total, the truncated flag and the log position.
+    fn capture_dxt_marks(&self, epoch: u64, drain: bool) -> (usize, bool, usize) {
         let mut d = self.dxt.lock();
-        let buf = &mut *d;
-        buf.drained_epoch = epoch;
-        if !buf.dirty.is_empty() {
-            let marks = Arc::make_mut(&mut buf.marks);
-            for id in std::mem::take(&mut buf.dirty) {
-                if let Some(f) = buf.files.get(&id) {
-                    marks.insert(id, f.segs.len());
-                }
+        let DxtBuf {
+            files,
+            dirty,
+            log,
+            drained_epoch,
+            ..
+        } = &mut *d;
+        for &id in dirty.iter() {
+            let f = files.get_mut(&id).expect("dirty DXT files exist");
+            let len = f.segs.len();
+            if f.marks.last().map_or(0, |m| m.1) < len {
+                f.marks.push((epoch, len));
+                log.push(id);
             }
         }
-        (buf.total, buf.marks.clone())
+        if drain {
+            dirty.clear();
+            *drained_epoch = epoch;
+        }
+        (d.total, d.truncated, d.log.len())
     }
 
     /// Number of POSIX records currently held.
@@ -934,12 +971,18 @@ mod tests {
                 ..Default::default()
             });
             let id = rt.posix_open("/d/f", at(0), at(0)).unwrap();
-            for i in 0..5u64 {
+            for i in 0..3u64 {
+                rt.posix_read(id, i * 10, 10, at(i), at(i + 1));
+            }
+            assert!(!rt.snapshot().dxt_truncated, "at the cap, nothing dropped");
+            for i in 3..5u64 {
                 rt.posix_read(id, i * 10, 10, at(i), at(i + 1));
             }
             let segs = rt.dxt_of(id);
             assert_eq!(segs.len(), 3, "capped");
             assert!(rt.dxt_truncated());
+            assert!(rt.snapshot().dxt_truncated);
+            assert!(rt.snapshot_full().dxt_truncated);
             assert_eq!(segs[0].offset, 0);
             assert_eq!(segs[0].length, 10);
             assert_eq!(segs[0].op, DxtOp::Read);

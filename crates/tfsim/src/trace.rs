@@ -4,6 +4,7 @@
 //! (`trace.json.gz` in the paper's Fig. 1 — we emit uncompressed JSON).
 
 use serde::{Deserialize, Serialize};
+use serde_json::{Map, Value};
 
 /// A key/value annotation on an event (XStat).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -120,47 +121,64 @@ impl XSpace {
         for p in &mut self.planes {
             p.lines.sort_by(|a, b| a.name.cmp(&b.name));
             for l in &mut p.lines {
-                l.events
-                    .sort_by_key(|e| (e.start_ns, e.dur_ns, e.name.clone()));
+                l.events.sort_by(|a, b| {
+                    (a.start_ns, a.dur_ns, &a.name).cmp(&(b.start_ns, b.dur_ns, &b.name))
+                });
             }
         }
         self.planes.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
     /// Export in chrome trace-event format (what TraceViewer loads).
-    /// Planes become processes; lines become threads.
-    pub fn to_chrome_trace(&self) -> serde_json::Value {
+    /// Planes become processes; lines become threads. Each event object
+    /// is built directly as a [`Value`] tree.
+    pub fn to_chrome_trace(&self) -> Value {
         let mut events = Vec::new();
         for (pid, plane) in self.planes.iter().enumerate() {
-            events.push(serde_json::json!({
-                "ph": "M", "pid": pid, "name": "process_name",
-                "args": {"name": plane.name},
-            }));
+            events.push(object([
+                ("ph", "M".into()),
+                ("pid", pid.into()),
+                ("name", "process_name".into()),
+                ("args", object([("name", plane.name.as_str().into())])),
+            ]));
             for (tid, line) in plane.lines.iter().enumerate() {
-                events.push(serde_json::json!({
-                    "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
-                    "args": {"name": line.name},
-                }));
+                events.push(object([
+                    ("ph", "M".into()),
+                    ("pid", pid.into()),
+                    ("tid", tid.into()),
+                    ("name", "thread_name".into()),
+                    ("args", object([("name", line.name.as_str().into())])),
+                ]));
                 for e in &line.events {
-                    let args: serde_json::Map<String, serde_json::Value> = e
+                    let args: Map<String, Value> = e
                         .stats
                         .iter()
-                        .map(|s| (s.name.clone(), serde_json::Value::from(s.value.clone())))
+                        .map(|s| (s.name.clone(), s.value.as_str().into()))
                         .collect();
-                    events.push(serde_json::json!({
-                        "ph": "X",
-                        "pid": pid,
-                        "tid": tid,
-                        "name": e.name,
-                        "ts": e.start_ns as f64 / 1e3,
-                        "dur": e.dur_ns as f64 / 1e3,
-                        "args": serde_json::Value::Object(args),
-                    }));
+                    events.push(object([
+                        ("ph", "X".into()),
+                        ("pid", pid.into()),
+                        ("tid", tid.into()),
+                        ("name", e.name.as_str().into()),
+                        ("ts", (e.start_ns as f64 / 1e3).into()),
+                        ("dur", (e.dur_ns as f64 / 1e3).into()),
+                        ("args", Value::Object(args)),
+                    ]));
                 }
             }
         }
-        serde_json::json!({ "traceEvents": events })
+        object([("traceEvents", Value::Array(events))])
     }
+}
+
+/// A JSON object from its fields.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use probe::{EventKind, IoEvent, Origin, ProbeBus, ProbeSink, SinkId};
 use simrt::SimTime;
 
-use crate::trace::{XEvent, XPlane};
+use crate::trace::{XEvent, XPlane, XStat};
 
 /// A completed host event.
 #[derive(Clone, Debug)]
@@ -154,24 +154,26 @@ impl TraceMeRecorder {
         }
     }
 
-    /// Export recorded events into an `XPlane` (one line per thread).
+    /// Export recorded events into an `XPlane` (one line per thread, in
+    /// thread-name order). The drained events move into the plane: names
+    /// and stats are not copied.
     pub fn export_into(&self, plane: &mut XPlane) {
-        let map = self.consume();
-        let mut names: Vec<&String> = map.keys().collect();
-        names.sort();
-        for name in names {
-            let line = plane.line_mut(name);
-            for ev in &map[name] {
-                let mut x = XEvent::new(
-                    ev.name.clone(),
-                    ev.start.as_nanos(),
-                    (ev.end - ev.start).as_nanos() as u64,
-                );
-                for (k, v) in &ev.stats {
-                    x = x.with_stat(k.clone(), v.clone());
+        let mut lines: Vec<(String, Vec<HostEvent>)> = self.consume().into_iter().collect();
+        lines.sort_by(|a, b| a.0.cmp(&b.0));
+        for (name, events) in lines {
+            let line = plane.line_mut(&name);
+            line.events.extend(events.into_iter().map(|ev| {
+                XEvent {
+                    name: ev.name,
+                    start_ns: ev.start.as_nanos(),
+                    dur_ns: (ev.end - ev.start).as_nanos() as u64,
+                    stats: ev
+                        .stats
+                        .into_iter()
+                        .map(|(name, value)| XStat { name, value })
+                        .collect(),
                 }
-                line.events.push(x);
-            }
+            }));
         }
     }
 }

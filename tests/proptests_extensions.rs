@@ -307,6 +307,109 @@ proptest! {
     }
 }
 
+/// One step of a DXT extraction script.
+#[derive(Clone, Debug)]
+enum DxtStep {
+    /// A read on file `.0` ending after every earlier one (append).
+    Append(usize, u64),
+    /// A read on file `.0` ending `.1` µs before the clock: it lands
+    /// before the file's latest segments (out-of-order insert).
+    Late(usize, u64),
+    /// An incremental snapshot.
+    Snapshot,
+    /// A full snapshot.
+    Full,
+}
+
+fn arb_dxt_step() -> impl Strategy<Value = DxtStep> {
+    // Weights 6 : 2 : 2 : 1.
+    (0u8..11, 0usize..5, 1u64..400).prop_map(|(kind, f, us)| match kind {
+        0..=5 => DxtStep::Append(f, us),
+        6 | 7 => DxtStep::Late(f, us * 7),
+        8 | 9 => DxtStep::Snapshot,
+        _ => DxtStep::Full,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `dxt_between` over any pair of snapshots — adjacent or not, in
+    /// either order, incremental or full, with full snapshots anywhere in
+    /// between — equals the reference: per file, the final segment list
+    /// sliced between the file's segment counts at the two snapshots,
+    /// sorted by start time and record id.
+    #[test]
+    fn dxt_between_equals_per_file_count_slices(
+        steps in prop::collection::vec(arb_dxt_step(), 1..80),
+    ) {
+        use simrt::SimTime;
+        use tf_darshan::darshan::{DarshanConfig, DarshanRuntime, Snapshot};
+
+        type Seg = (u64, u64, u64, u64, u64);
+        let key = |id: u64, s: &DxtSegment| -> Seg {
+            (id, s.offset, s.length, s.start.to_bits(), s.end.to_bits())
+        };
+        let sim = simrt::Sim::new();
+        let h = sim.spawn("t", move || {
+            let rt = DarshanRuntime::new(DarshanConfig {
+                per_op_overhead: Duration::ZERO,
+                new_record_overhead: Duration::ZERO,
+                snapshot_cost_per_record: Duration::ZERO,
+                ..Default::default()
+            });
+            let t0 = SimTime::from_nanos(0);
+            let ids: Vec<u64> = (0..5)
+                .map(|f| rt.posix_open(&format!("/d/f{f}"), t0, t0).unwrap())
+                .collect();
+            let counts = |rt: &DarshanRuntime| -> Vec<usize> {
+                ids.iter().map(|&id| rt.dxt_of(id).len()).collect()
+            };
+            // Snapshot 0 before any segment, so every window has a start.
+            let mut snaps: Vec<(Snapshot, Vec<usize>)> = vec![(rt.snapshot(), counts(&rt))];
+            let mut clock_us = 10_000u64;
+            for (i, step) in steps.iter().enumerate() {
+                let at = |us: u64| SimTime::from_nanos(us * 1_000);
+                match *step {
+                    DxtStep::Append(f, dur) => {
+                        clock_us += dur;
+                        rt.posix_read(ids[f], i as u64, 64, at(clock_us - dur), at(clock_us));
+                    }
+                    DxtStep::Late(f, back) => {
+                        let end = clock_us - back;
+                        rt.posix_read(ids[f], i as u64, 32, at(end - 5), at(end));
+                    }
+                    DxtStep::Snapshot => snaps.push((rt.snapshot(), counts(&rt))),
+                    DxtStep::Full => snaps.push((rt.snapshot_full(), counts(&rt))),
+                }
+            }
+            snaps.push((rt.snapshot(), counts(&rt)));
+            let finals: Vec<Vec<DxtSegment>> = ids.iter().map(|&id| rt.dxt_of(id)).collect();
+            let mut cases = Vec::new();
+            for (a, (sa, ca)) in snaps.iter().enumerate() {
+                for (b, (sb, cb)) in snaps.iter().enumerate() {
+                    let got: Vec<Seg> =
+                        rt.dxt_between(sa, sb).iter().map(|(id, s)| key(*id, s)).collect();
+                    let mut want: Vec<(u64, DxtSegment)> = Vec::new();
+                    for (f, segs) in finals.iter().enumerate() {
+                        if cb[f] > ca[f] {
+                            want.extend(segs[ca[f]..cb[f]].iter().map(|s| (ids[f], *s)));
+                        }
+                    }
+                    want.sort_by(|x, y| x.1.start.total_cmp(&y.1.start).then(x.0.cmp(&y.0)));
+                    let want: Vec<Seg> = want.iter().map(|(id, s)| key(*id, s)).collect();
+                    cases.push((a, b, got, want));
+                }
+            }
+            cases
+        });
+        sim.run();
+        for (a, b, got, want) in h.join() {
+            prop_assert_eq!(got, want, "snapshots {} -> {}", a, b);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Job-level reduction (PR 5): ws==1 byte-identity and shared-record merging
 // ---------------------------------------------------------------------------

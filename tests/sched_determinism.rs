@@ -116,19 +116,23 @@ fn run_trace(n: usize, mixed: bool) -> (String, String, f64) {
 
     let events = strip_pids(&format!("{:?}", sink.snapshot()));
     let (start, stop) = wrapper.session_snapshots().expect("one session ran");
-    let counters = strip_pids(&format!("{} -> {}", canon(&start), canon(&stop)));
+    let counters = strip_pids(&format!(
+        "{} -> {}, window dxt: {:?}",
+        canon(&start),
+        canon(&stop),
+        wrapper.session_dxt()
+    ));
     (events, counters, m.sim.now().as_secs_f64())
 }
 
 /// Render a Darshan snapshot deterministically: the record vectors are
-/// sorted by record id already, but `names` and `dxt_watermarks` are
-/// `HashMap`s whose Debug iteration order varies run to run — sort them.
+/// sorted by record id already, but `names` is a `HashMap` whose Debug
+/// iteration order varies run to run — sort it.
 fn canon(s: &tf_darshan::darshan::Snapshot) -> String {
     let names: std::collections::BTreeMap<_, _> = s.names.iter().collect();
-    let marks: std::collections::BTreeMap<_, _> = s.dxt_watermarks.iter().collect();
     format!(
         "taken_at: {:?}, epoch: {:?}, posix: {:?}, stdio: {:?}, names: {:?}, \
-         partial: {:?}/{:?}, dxt_segments: {:?}, dxt_watermarks: {:?}",
+         partial: {:?}/{:?}, dxt_segments: {:?}, dxt_truncated: {:?}, dxt_pos: {:?}",
         s.taken_at,
         s.epoch,
         s.posix,
@@ -137,7 +141,8 @@ fn canon(s: &tf_darshan::darshan::Snapshot) -> String {
         s.posix_partial,
         s.stdio_partial,
         s.dxt_segments,
-        marks,
+        s.dxt_truncated,
+        s.dxt_pos,
     )
 }
 
