@@ -528,6 +528,61 @@ mod tests {
     }
 
     #[test]
+    fn common_values_overflow_evicts_the_largest_of_the_rarest() {
+        let mut cv = CommonValues::default();
+        for v in 0..64u64 {
+            cv.add_n(v, 1 + v % 3);
+        }
+        // Counts 1 (v ≡ 0 mod 3), 2 and 3. The rarest are the multiples of
+        // three; 63 is the largest of them.
+        cv.add(1000);
+        let mut want: Vec<(u64, u64)> = (0..63u64)
+            .map(|v| (v, 1 + v % 3))
+            .chain([(1000, 1)])
+            .collect();
+        want.sort_by_key(|&(v, c)| (std::cmp::Reverse(c), v));
+        assert_eq!(cv.top(100), want);
+        // Now 1000 ties the other singletons and is the largest: it goes.
+        cv.add(7);
+        cv.add(2000);
+        assert!(cv.top(100).iter().all(|&(v, _)| v != 1000));
+        assert_eq!(cv.top(100).len(), 64);
+        assert!(cv.top(100).contains(&(2000, 1)));
+        assert!(cv.top(100).contains(&(7, 3)));
+        // A tracked value never evicts.
+        let before = cv.top(100);
+        cv.add(60);
+        assert_eq!(cv.top(100).len(), 64);
+        assert_eq!(
+            cv.top(100).iter().find(|e| e.0 == 60),
+            Some(&(60, before.iter().find(|e| e.0 == 60).unwrap().1 + 1))
+        );
+    }
+
+    #[test]
+    fn common_values_add_n_equals_repeated_add() {
+        // A deterministic walk over a value pool wider than the tracker,
+        // with runs of repeats, so inserts, hits and evictions all occur.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut bulk, mut single) = (CommonValues::default(), CommonValues::default());
+        for _ in 0..2_000 {
+            let value = next() % 90;
+            let n = next() % 5;
+            bulk.add_n(value, n);
+            for _ in 0..n {
+                single.add(value);
+            }
+            assert_eq!(bulk.top(100), single.top(100));
+        }
+    }
+
+    #[test]
     fn reduce_common_accesses_fills_slots() {
         let mut r = PosixRecord::new(1);
         for _ in 0..3 {
