@@ -22,10 +22,9 @@
 //! Acceptance: `export_dxt`'s host time per segment grows at most 1.3×
 //! from the smallest to the largest window; the bench exits 1 otherwise.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use darshan_sim::{DxtOp, DxtSegment};
+use darshan_sim::{DxtOp, DxtSegment, Names};
 use tfsim::{XEvent, XPlane};
 
 /// Files in the dataset, and name records in the runtime.
@@ -39,7 +38,7 @@ const MAX_GROWTH: f64 = 1.3;
 type Window = Vec<(u64, DxtSegment)>;
 
 /// The dataset's record ids and name records.
-fn dataset() -> (Vec<u64>, HashMap<u64, String>) {
+fn dataset() -> (Vec<u64>, Names) {
     let ids: Vec<u64> = (0..DATASET as u64)
         .map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1))
         .collect();
@@ -83,12 +82,13 @@ fn windows(ids: &[u64], files: usize) -> Vec<Window> {
 }
 
 /// The reference arm: one by-name line lookup per segment.
-fn export_by_name(plane: &mut XPlane, dxt: &[(u64, DxtSegment)], names: &HashMap<u64, String>) {
+fn export_by_name(plane: &mut XPlane, dxt: &[(u64, DxtSegment)], names: &Names) {
     for (rec, seg) in dxt {
         let ev = XEvent::new("pread", (seg.start * 1e9) as u64, 40_000)
             .with_stat("offset", seg.offset)
             .with_stat("length", seg.length);
-        plane.line_mut(&names[rec]).events.push(ev);
+        let name = names.get(*rec).expect("every dataset file is named");
+        plane.line_mut(&name).events.push(ev);
     }
 }
 
@@ -96,8 +96,8 @@ fn export_by_name(plane: &mut XPlane, dxt: &[(u64, DxtSegment)], names: &HashMap
 /// fresh plane. Only the exports are timed; the planes go to `keep`.
 fn trial(
     windows: &[Window],
-    names: &HashMap<u64, String>,
-    export: impl Fn(&mut XPlane, &[(u64, DxtSegment)], &HashMap<u64, String>),
+    names: &Names,
+    export: impl Fn(&mut XPlane, &[(u64, DxtSegment)], &Names),
     keep: &mut Vec<XPlane>,
 ) -> f64 {
     let mut planes: Vec<XPlane> = windows.iter().map(|_| XPlane::default()).collect();

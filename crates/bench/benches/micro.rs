@@ -149,7 +149,7 @@ fn bench_log(c: &mut Criterion) {
             job_start: 0.0,
             job_end: 100.0,
             nprocs: 1,
-            names: (*snap.names).clone(),
+            names: snap.names.to_map(),
             posix: snap.posix.iter().map(|r| (**r).clone()).collect(),
             posix_partial: false,
             stdio: vec![],

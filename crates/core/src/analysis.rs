@@ -3,11 +3,10 @@
 //! "the two samples collected during start and stop are analyzed by
 //! tf-Darshan to retrieve relevant statistics").
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use darshan_sim::{
-    DxtOp, DxtSegment, Module, PosixCounter as P, PosixFCounter as PF, PosixRecord, Record,
+    DxtOp, DxtSegment, Module, Names, PosixCounter as P, PosixFCounter as PF, PosixRecord, Record,
     Snapshot, StdioCounter as S, StdioRecord, SIZE_BUCKET_LABELS,
 };
 use serde::{Deserialize, Serialize};
@@ -23,8 +22,8 @@ pub struct SnapshotDiff {
     pub posix: Vec<PosixRecord>,
     /// STDIO per-file deltas.
     pub stdio: Vec<StdioRecord>,
-    /// Record-id → path (shared with the stop snapshot, zero-copy).
-    pub names: Arc<HashMap<u64, String>>,
+    /// Record-id → path (the stop snapshot's view, zero-copy).
+    pub names: Names,
     /// Either module hit its record-memory cap.
     pub partial: bool,
 }
@@ -259,9 +258,8 @@ pub fn per_file(d: &SnapshotDiff) -> Vec<FileActivity> {
         .map(|r| FileActivity {
             path: d
                 .names
-                .get(&r.rec_id)
-                .cloned()
-                .unwrap_or_else(|| format!("<{:#x}>", r.rec_id)),
+                .get(r.rec_id)
+                .map_or_else(|| format!("<{:#x}>", r.rec_id), |p| p.to_string()),
             reads: r.get(P::POSIX_READS) as u64,
             bytes_read: r.get(P::POSIX_BYTES_READ).max(0) as u64,
             apparent_size: (r.get(P::POSIX_MAX_BYTE_READ).max(0) as u64).saturating_add(1),

@@ -79,13 +79,15 @@ impl RankCtx {
     }
 
     /// The rank's last completed session (diff + window DXT), or `None`
-    /// if no start/stop pair exists yet.
+    /// if no start/stop pair exists yet. The snapshot pair is taken once
+    /// and serves both the diff and the DXT extraction.
     pub fn session(&self) -> Option<RankSession> {
         let (start, stop) = self.wrapper.session_snapshots()?;
+        let dxt = self.wrapper.library().runtime().dxt_between(&start, &stop);
         Some(RankSession {
             rank: self.rank,
             diff: diff(&start, &stop),
-            dxt: self.wrapper.session_dxt(),
+            dxt,
         })
     }
 }

@@ -24,13 +24,13 @@
 //!   job's reduce wall time grows ~O(log N) while a flat fold's grows
 //!   O(N). The fleet bench gates on exactly this ratio.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use darshan_sim::reduce::{fold_group, Fold};
 use darshan_sim::DxtSegment;
-use darshan_sim::{Posix, Stdio};
+use darshan_sim::{Names, Posix, Stdio};
 use parking_lot::Mutex;
 use simrt::{EventCx, EventHandle, EventPoll, Sim};
 
@@ -77,12 +77,12 @@ pub struct TreeReduceStats {
 }
 
 /// One partially reduced subtree: per-rec-id folds plus the associative
-/// session metadata (names first-wins in rank order, window min/max,
-/// partial OR, DXT kept merge-sorted by completion time).
+/// session metadata (window min/max, partial OR, DXT kept merge-sorted by
+/// completion time). Names are not merged up the tree: the root resolves
+/// only its own records' names (see [`TreeStepper::finish`]).
 struct ReduceNode {
     posix: BTreeMap<u64, Fold<Posix>>,
     stdio: BTreeMap<u64, Fold<Stdio>>,
-    names: Arc<HashMap<u64, String>>,
     window: (f64, f64),
     partial: bool,
     dxt: Vec<(u64, DxtSegment)>,
@@ -97,8 +97,7 @@ fn dxt_cmp(a: &(u64, DxtSegment), b: &(u64, DxtSegment)) -> std::cmp::Ordering {
 }
 
 impl ReduceNode {
-    /// Leaf over one rank's session. It shares the session's names, so a
-    /// lone session's report shares them too. With `sort_dxt` the leaf's
+    /// Leaf over one rank's session. With `sort_dxt` the leaf's
     /// DXT run is stable-sorted so inner nodes can merge sorted runs; ties
     /// keep session order, which composed up the tree is a stable sort of
     /// the rank-ordered concatenation. A lone session keeps its own order.
@@ -122,7 +121,6 @@ impl ReduceNode {
         ReduceNode {
             posix,
             stdio,
-            names: s.diff.names.clone(),
             window: s.diff.window,
             partial: s.diff.partial,
             dxt,
@@ -145,10 +143,6 @@ impl ReduceNode {
         }
         for (id, fold) in right.stdio {
             merges += fold_group(&mut self.stdio, id, fold) as u64;
-        }
-        let names = Arc::make_mut(&mut self.names);
-        for (id, name) in right.names.iter() {
-            names.entry(*id).or_insert_with(|| name.clone());
         }
         self.window.0 = self.window.0.min(right.window.0);
         self.window.1 = self.window.1.max(right.window.1);
@@ -265,6 +259,10 @@ impl TreeStepper {
 
     /// Materialize the root into the job report: the BTreeMap walk keeps
     /// rec-id order, and `analyze`/`per_file` run over the merged diff.
+    /// Each merged record's name is the first one found in session (rank)
+    /// order — what merging every rank's names first-wins would give, at
+    /// the cost of the window's records instead of every name the ranks
+    /// ever registered.
     fn finish(
         &mut self,
         sessions: &[RankSession],
@@ -272,11 +270,18 @@ impl TreeStepper {
     ) -> (JobReport, TreeReduceStats) {
         let root = self.nodes.pop().expect("stepped to a single root");
         debug_assert!(self.nodes.is_empty(), "finish before the last level");
+        let ids = root.posix.keys().chain(root.stdio.keys());
+        let names: Names = ids
+            .filter_map(|&id| {
+                let name = sessions.iter().find_map(|s| s.diff.names.get(id))?;
+                Some((id, name))
+            })
+            .collect();
         let job_diff = SnapshotDiff {
             window: root.window,
             posix: root.posix.into_values().map(Fold::finish).collect(),
             stdio: root.stdio.into_values().map(Fold::finish).collect(),
-            names: root.names,
+            names,
             partial: root.partial,
         };
         let (io, stdio) = analyze(&job_diff, &root.dxt);

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
-use darshan_sim::{DxtOp, DxtSegment};
+use darshan_sim::{DxtOp, DxtSegment, Names};
 use parking_lot::Mutex;
 use simrt::sleep;
 use tfsim::{ProfilerOptions, TfRuntime, Tracer, TracerFactory, XEvent, XLine, XPlane, XSpace};
@@ -44,12 +44,7 @@ fn abs_ns(init_ns: u64, secs: f64) -> u64 {
 /// [`tfsim::XPlane::line_mut`] would route it, including lines already in
 /// `plane`: names are indexed by their hash, checked against the line's
 /// name, and a (vanishingly rare) hash clash falls back to a scan.
-pub fn export_dxt(
-    plane: &mut XPlane,
-    dxt: &[(u64, DxtSegment)],
-    names: &HashMap<u64, String>,
-    init_ns: u64,
-) {
+pub fn export_dxt(plane: &mut XPlane, dxt: &[(u64, DxtSegment)], names: &Names, init_ns: u64) {
     let hasher = RandomState::new();
     let mut by_name: HashMap<u64, usize> = HashMap::with_capacity(plane.lines.len());
     for (i, line) in plane.lines.iter().enumerate() {
@@ -59,9 +54,8 @@ pub fn export_dxt(
     for (rec, seg) in dxt {
         let line = *by_key.entry((*rec, seg.rank)).or_insert_with(|| {
             let mut file = names
-                .get(rec)
-                .cloned()
-                .unwrap_or_else(|| format!("<{rec:#x}>"));
+                .get(*rec)
+                .map_or_else(|| format!("<{rec:#x}>"), |p| p.to_string());
             // Rank lane: in a distributed job each rank's segments get
             // their own TraceViewer line per file (parallel Darshan's DXT
             // records always carry the rank; rank 0 keeps the bare file
@@ -257,12 +251,11 @@ mod tests {
 
     /// The by-name export `export_dxt` replaces: one `line_mut` lookup per
     /// segment.
-    fn by_name(plane: &mut XPlane, dxt: &[(u64, DxtSegment)], names: &HashMap<u64, String>) {
+    fn by_name(plane: &mut XPlane, dxt: &[(u64, DxtSegment)], names: &Names) {
         for (rec, s) in dxt {
             let mut file = names
-                .get(rec)
-                .cloned()
-                .unwrap_or_else(|| format!("<{rec:#x}>"));
+                .get(*rec)
+                .map_or_else(|| format!("<{rec:#x}>"), |p| p.to_string());
             if s.rank != 0 {
                 file = format!("{file} [rank {}]", s.rank);
             }
@@ -295,9 +288,8 @@ mod tests {
             });
         }
         // Record 5's path reads like record 4's missing-name fallback.
-        let names: HashMap<u64, String> = [(1, "/a"), (2, "/b"), (3, "/c"), (5, "<0x4>")]
+        let names: Names = [(1, "/a"), (2, "/b"), (3, "/c"), (5, "<0x4>")]
             .into_iter()
-            .map(|(id, p)| (id, p.to_string()))
             .collect();
         let dxt = vec![
             (1, seg(0, DxtOp::Read, 0.1)),

@@ -9,7 +9,6 @@
 //! use: operation counts, byte counts, access-size histogram, sequential/
 //! consecutive pattern counters, common access sizes, and timing).
 
-use std::collections::HashMap;
 use std::fmt::Debug;
 
 use self::{PosixCounter as P, PosixFCounter as PF, StdioCounter as S, StdioFCounter as SF};
@@ -171,13 +170,34 @@ pub const SIZE_BUCKET_LABELS: [&str; 10] = [
 /// Tracks the most common access sizes of a record (Darshan's
 /// `darshan_common_val_counter`, generalized). Bounded memory: at most
 /// `MAX_TRACKED` distinct sizes; the rarest entry is evicted on overflow.
-#[derive(Clone, Debug, Default)]
+///
+/// Most records see only a few distinct sizes (a whole-file read and its
+/// EOF probe, a chunk size and a tail), so the first `INLINE` values live
+/// in the record itself and a new file's tracker needs no allocation. The
+/// order of the entries carries no meaning.
+#[derive(Clone, Default)]
 pub struct CommonValues {
-    counts: HashMap<u64, u64>,
+    inline: [(u64, u64); Self::INLINE],
+    inline_len: u8,
+    /// Values beyond the first `INLINE`.
+    spill: Vec<(u64, u64)>,
 }
 
 impl CommonValues {
     const MAX_TRACKED: usize = 64;
+    const INLINE: usize = 4;
+
+    fn entries(&self) -> impl Iterator<Item = &(u64, u64)> {
+        self.inline[..self.inline_len as usize]
+            .iter()
+            .chain(&self.spill)
+    }
+
+    fn entries_mut(&mut self) -> impl Iterator<Item = &mut (u64, u64)> {
+        self.inline[..self.inline_len as usize]
+            .iter_mut()
+            .chain(&mut self.spill)
+    }
 
     /// Record one occurrence of `value`.
     pub fn add(&mut self, value: u64) {
@@ -195,30 +215,44 @@ impl CommonValues {
         if n == 0 {
             return;
         }
-        if let Some(c) = self.counts.get_mut(&value) {
-            *c += n;
+        if let Some(e) = self.entries_mut().find(|e| e.0 == value) {
+            e.1 += n;
             return;
         }
-        if self.counts.len() >= Self::MAX_TRACKED {
-            // Evict the rarest tracked value (ties: largest value goes).
-            if let Some((&evict, _)) = self
-                .counts
-                .iter()
-                .min_by_key(|(v, c)| (**c, std::cmp::Reverse(**v)))
-            {
-                self.counts.remove(&evict);
+        let tracked = self.inline_len as usize + self.spill.len();
+        if tracked >= Self::MAX_TRACKED {
+            // The new value takes the place of the rarest tracked one
+            // (ties: the largest value goes).
+            let rarest = self
+                .entries_mut()
+                .min_by_key(|e| (e.1, std::cmp::Reverse(e.0)));
+            if let Some(e) = rarest {
+                *e = (value, n);
             }
+        } else if tracked < Self::INLINE {
+            self.inline[tracked] = (value, n);
+            self.inline_len += 1;
+        } else {
+            self.spill.push((value, n));
         }
-        self.counts.insert(value, n);
     }
 
     /// Top `n` (value, count) pairs, most frequent first (ties: smaller
     /// value first, for determinism).
     pub fn top(&self, n: usize) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.counts.iter().map(|(a, b)| (*a, *b)).collect();
+        let mut v: Vec<(u64, u64)> = self.entries().copied().collect();
         v.sort_by_key(|(val, cnt)| (std::cmp::Reverse(*cnt), *val));
         v.truncate(n);
         v
+    }
+}
+
+/// Debug-prints the tracked `value: count` pairs.
+impl Debug for CommonValues {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.entries().map(|(v, c)| (v, c)))
+            .finish()
     }
 }
 

@@ -22,7 +22,9 @@
 #![warn(missing_docs)]
 
 pub mod counters;
+mod idmap;
 pub mod log;
+pub mod names;
 pub mod reduce;
 pub mod runtime;
 pub mod sink;
@@ -39,6 +41,7 @@ pub use counters::{
     Record, Stdio, StdioCounter, StdioFCounter, StdioRecord, SIZE_BUCKET_LABELS,
 };
 pub use log::{DarshanLog, LogError};
+pub use names::Names;
 pub use reduce::reduce_job;
 pub use runtime::{DarshanConfig, DarshanRuntime, DxtOp, DxtSegment, Snapshot, Totals};
 pub use sink::DarshanSink;
@@ -174,7 +177,7 @@ impl DarshanLibrary {
             job_start: 0.0,
             job_end: snap.taken_at,
             nprocs: 1,
-            names: (*snap.names).clone(),
+            names: snap.names.to_map(),
             posix: snap.posix.iter().map(|r| (**r).clone()).collect(),
             posix_partial: snap.posix_partial,
             stdio: snap.stdio.iter().map(|r| (**r).clone()).collect(),

@@ -29,18 +29,20 @@
 //! survives as [`DarshanRuntime::snapshot_full`] for comparison and as
 //! the equivalence oracle.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use simrt::{sleep, SimTime, TaskId};
 
 use crate::counters::{
     record_id, size_bucket, Module, Posix, PosixCounter as P, PosixRecord, Record, Stdio,
     StdioCounter as S, StdioRecord,
 };
+use crate::idmap::IdMap;
+use crate::names::Names;
 
 /// Configuration of the Darshan runtime (environment variables in real
 /// Darshan: `DARSHAN_MODMEM`, `DXT_ENABLE_IO_TRACE`, ...).
@@ -113,32 +115,41 @@ pub struct DxtSegment {
     pub rank: u32,
 }
 
+/// One module's records: a slab in creation order plus a `rec_id → slot`
+/// index. Records are never evicted, so a slot names its record for the
+/// runtime's lifetime and the event fold can memoize it.
 #[derive(Default)]
 struct ModuleBuf<M: Module> {
-    records: HashMap<u64, Record<M>>,
+    records: Vec<Record<M>>,
+    index: IdMap<u64, u32>,
     partial: bool,
-    /// Ids dirtied since the last incremental extraction. Each id appears
-    /// at most once: a record is listed iff `dirty_epoch > drained_epoch`.
-    dirty: Vec<u64>,
+    /// Slots dirtied since the last incremental extraction. Each slot
+    /// appears at most once: a record is listed iff
+    /// `dirty_epoch > drained_epoch`.
+    dirty: Vec<u32>,
     /// Epoch through which `dirty` has been drained into the baseline.
     drained_epoch: u64,
 }
 
 impl<M: Module> ModuleBuf<M> {
-    /// Stamp `rec_id` dirty at `epoch` and return the live record.
-    fn touch(&mut self, rec_id: u64, epoch: u64) -> Option<&mut Record<M>> {
-        let r = self.records.get_mut(&rec_id)?;
+    fn slot_of(&self, rec_id: u64) -> Option<u32> {
+        self.index.get(&rec_id).copied()
+    }
+
+    /// Stamp the record at `slot` dirty at `epoch` and return it.
+    fn touch(&mut self, slot: u32, epoch: u64) -> &mut Record<M> {
+        let r = &mut self.records[slot as usize];
         if r.dirty_epoch <= self.drained_epoch {
-            self.dirty.push(rec_id);
+            self.dirty.push(slot);
         }
         r.dirty_epoch = epoch;
-        Some(r)
+        r
     }
 
     /// Every record, copied and reduced, sorted by record id (the full
     /// extraction), with the partial flag.
     fn copy_all(&self) -> (Vec<Arc<Record<M>>>, bool) {
-        let mut v: Vec<Arc<Record<M>>> = self.records.values().map(Record::reduced).collect();
+        let mut v: Vec<Arc<Record<M>>> = self.records.iter().map(Record::reduced).collect();
         v.sort_by_key(|r| r.rec_id);
         (v, self.partial)
     }
@@ -157,11 +168,9 @@ impl<M: Module> ModuleBuf<M> {
     ) -> (Vec<Arc<Record<M>>>, bool) {
         self.drained_epoch = epoch;
         let mut fresh: Vec<Arc<Record<M>>> = Vec::new();
-        for id in std::mem::take(&mut self.dirty) {
-            let Some(live) = self.records.get(&id) else {
-                continue;
-            };
-            match baseline.binary_search_by_key(&id, |r| r.rec_id) {
+        for slot in std::mem::take(&mut self.dirty) {
+            let live = &self.records[slot as usize];
+            match baseline.binary_search_by_key(&live.rec_id, |r| r.rec_id) {
                 Ok(i) => baseline[i] = live.reduced(),
                 Err(_) => fresh.push(live.reduced()),
             }
@@ -190,9 +199,11 @@ struct Baseline {
     stdio: Vec<Arc<StdioRecord>>,
 }
 
-/// Per-file DXT segment list.
+/// Per-file DXT segment list, at its file's POSIX slot.
 #[derive(Default)]
 struct DxtFile {
+    /// The file's record id.
+    rec_id: u64,
     /// Segments ordered by non-decreasing `end`. Folds arrive in
     /// completion order per thread; cross-thread flushes can interleave,
     /// so the (rare) out-of-order insert bisects from the tail. At any
@@ -222,17 +233,25 @@ impl DxtFile {
 
 #[derive(Default)]
 struct DxtBuf {
-    files: HashMap<u64, DxtFile>,
+    /// Indexed by POSIX slot (grown on a file's first segment).
+    files: Vec<DxtFile>,
     total: usize,
     truncated: bool,
-    /// Files appended-to since the last incremental watermark capture.
-    dirty: Vec<u64>,
+    /// Slots appended-to since the last incremental watermark capture.
+    dirty: Vec<u32>,
     drained_epoch: u64,
-    /// Append-only log of the ids that got a new mark, in capture order.
+    /// Append-only log of the slots that got a new mark, in capture order.
     /// A snapshot records this log's length as its `dxt_pos`, so the files
     /// that changed between two snapshots are the entries between their
     /// positions. One entry per mark.
-    log: Vec<u64>,
+    log: Vec<u32>,
+}
+
+impl DxtBuf {
+    /// The segments of the file at `slot`, if it has any.
+    fn file(&self, slot: Option<u32>) -> Option<&DxtFile> {
+        self.files.get(slot? as usize)
+    }
 }
 
 /// While a snapshot copies the module buffers it holds the module locks;
@@ -289,8 +308,9 @@ pub struct Snapshot {
     pub posix: Vec<Arc<PosixRecord>>,
     /// STDIO records, sorted by record id.
     pub stdio: Vec<Arc<StdioRecord>>,
-    /// Record-id → path map (copy-on-write shared with the runtime).
-    pub names: Arc<HashMap<u64, String>>,
+    /// Record-id → path names registered by extraction time (a view of
+    /// the runtime's append-only table; see [`Names`]).
+    pub names: Names,
     /// True if the POSIX module ran out of record memory.
     pub posix_partial: bool,
     /// True if the STDIO module ran out of record memory.
@@ -343,7 +363,8 @@ pub struct DarshanRuntime {
     /// i.e. "dirty since before any extraction"); each snapshot claims the
     /// current value and advances it.
     epoch: AtomicU64,
-    names: Mutex<Arc<HashMap<u64, String>>>,
+    /// The runtime's own view of the name table (it alone registers).
+    names: Mutex<Names>,
     posix: Mutex<ModuleBuf<Posix>>,
     stdio: Mutex<ModuleBuf<Stdio>>,
     baseline: Mutex<Baseline>,
@@ -364,7 +385,7 @@ impl DarshanRuntime {
             config,
             init_time: simrt::try_now().unwrap_or(SimTime::ZERO),
             epoch: AtomicU64::new(1),
-            names: Mutex::new(Arc::new(HashMap::new())),
+            names: Mutex::default(),
             posix: Mutex::default(),
             stdio: Mutex::default(),
             baseline: Mutex::default(),
@@ -418,69 +439,33 @@ impl DarshanRuntime {
         }
     }
 
-    /// Register (or look up) the name record for `path`. The map is
-    /// copy-on-write: snapshots hold `Arc` clones, so the first insert
-    /// after an extraction clones the map once and later inserts are
-    /// in-place until the next extraction shares it again.
+    /// Register (or look up) the name record for `path`. Names only
+    /// append: snapshots keep their view, so registering never copies the
+    /// names already held.
     pub fn register_name(&self, path: &str) -> u64 {
         let id = record_id(path);
-        let mut names = self.names.lock();
-        if !names.contains_key(&id) {
-            Arc::make_mut(&mut names).insert(id, path.to_string());
-        }
+        self.names.lock().register(id, || Arc::from(path));
         id
     }
 
     /// Resolve a record id back to a path (the helper tf-Darshan `dlsym`s).
     pub fn lookup_name(&self, rec_id: u64) -> Option<String> {
-        self.names.lock().get(&rec_id).cloned()
+        self.names.lock().get(rec_id).map(|p| p.to_string())
     }
 
-    // -- module mutators, written once over `Module` ------------------------
-
-    /// Find or create the record for `path` (a new one is stamped dirty),
-    /// or `None` with the partial flag set once the module is out of
-    /// record memory. Record creation itself is pure bookkeeping here; the
-    /// new-record *time* cost is charged by the wrapper at the emission
-    /// site (this also runs inside event folds, which must not sleep).
-    fn ensure<M: Module>(&self, m: &mut ModuleBuf<M>, path: &str, epoch: u64) -> Option<u64> {
-        let id = record_id(path);
-        if !m.records.contains_key(&id) {
-            if m.records.len() >= self.config.max_records_per_module {
-                m.partial = true;
-                return None;
-            }
-            self.register_name(path);
-            m.records.insert(id, Record::new(id));
-            m.touch(id, epoch);
+    /// The module and DXT buffers, each lock taken once: what one event
+    /// fold batch or one direct mutator call works on. Lock order is
+    /// POSIX, STDIO, DXT (extraction takes them in the same order).
+    pub(crate) fn bufs(&self) -> Bufs<'_> {
+        let (posix, stdio, dxt) = (self.posix.lock(), self.stdio.lock(), self.dxt.lock());
+        Bufs {
+            rt: self,
+            epoch: self.current_epoch(),
+            posix,
+            stdio,
+            dxt,
+            totals: Totals::default(),
         }
-        Some(id)
-    }
-
-    /// Apply `f` to record `rec_id` of `buf`, stamping it dirty; `None`
-    /// (and no call) if the module has no such record.
-    fn with<M: Module, T>(
-        &self,
-        buf: &Mutex<ModuleBuf<M>>,
-        rec_id: u64,
-        f: impl FnOnce(&mut Record<M>) -> T,
-    ) -> Option<T> {
-        let epoch = self.current_epoch();
-        buf.lock().touch(rec_id, epoch).map(f)
-    }
-
-    /// Ensure the record for `path`, then apply `f` to it.
-    fn with_path<M: Module>(
-        &self,
-        buf: &Mutex<ModuleBuf<M>>,
-        path: &str,
-        f: impl FnOnce(&mut Record<M>),
-    ) -> Option<u64> {
-        let epoch = self.current_epoch();
-        let mut m = buf.lock();
-        let id = self.ensure(&mut m, path, epoch)?;
-        f(m.touch(id, epoch).expect("record just ensured"));
-        Some(id)
     }
 
     fn opened<M: Module>(&self, r: &mut Record<M>, t0: SimTime, t1: SimTime) {
@@ -506,178 +491,110 @@ impl DarshanRuntime {
     /// Instrument an `open`. Returns the record id, or `None` if the module
     /// is out of record memory (the caller still forwards the call).
     pub fn posix_open(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
-        self.agg_opens.fetch_add(1, Ordering::Relaxed);
-        self.with_path(&self.posix, path, |r| self.opened(r, t0, t1))
+        let mut b = self.bufs();
+        b.totals.posix_opens += 1;
+        let slot = b.posix_slot(path)?;
+        b.posix_opened(slot, t0, t1);
+        Some(b.posix.records[slot as usize].rec_id)
     }
 
     /// Instrument a read of `len` bytes at `offset`.
     pub fn posix_read(&self, rec_id: u64, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
-        self.agg_reads.fetch_add(1, Ordering::Relaxed);
-        self.agg_bytes_read.fetch_add(len, Ordering::Relaxed);
-        self.posix_io(rec_id, DxtOp::Read, offset, len, t0, t1);
+        self.bufs()
+            .posix_io_by_id(rec_id, DxtOp::Read, offset, len, t0, t1);
     }
 
     /// Instrument a write.
     pub fn posix_write(&self, rec_id: u64, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
-        self.agg_writes.fetch_add(1, Ordering::Relaxed);
-        self.agg_bytes_written.fetch_add(len, Ordering::Relaxed);
-        self.posix_io(rec_id, DxtOp::Write, offset, len, t0, t1);
-    }
-
-    /// The POSIX read/write mutator: counts, the size histogram, the
-    /// SEQ/CONSEC and RW_SWITCHES pattern tracking, timing, and the DXT
-    /// segment — the part of the mutators that is POSIX's alone.
-    fn posix_io(&self, rec_id: u64, op: DxtOp, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
-        let (write, w) = (op == DxtOp::Write, (op == DxtOp::Write) as usize);
-        let found = self.with(&self.posix, rec_id, |r| {
-            *r.get_mut([P::POSIX_READS, P::POSIX_WRITES][w]) += 1;
-            *r.get_mut([P::POSIX_BYTES_READ, P::POSIX_BYTES_WRITTEN][w]) += len as i64;
-            let hist = [P::POSIX_SIZE_READ_0_100, P::POSIX_SIZE_WRITE_0_100][w];
-            r.counters[hist as usize + size_bucket(len)] += 1;
-            r.ext.access_sizes.add(len);
-            let last_end = &mut r.ext.last_end[w];
-            let (consec, seq) = (offset == *last_end, offset >= *last_end);
-            *last_end = offset + len;
-            *r.get_mut([P::POSIX_CONSEC_READS, P::POSIX_CONSEC_WRITES][w]) += consec as i64;
-            *r.get_mut([P::POSIX_SEQ_READS, P::POSIX_SEQ_WRITES][w]) += seq as i64;
-            let max_byte = [P::POSIX_MAX_BYTE_READ, P::POSIX_MAX_BYTE_WRITTEN][w];
-            max_offset(r.get_mut(max_byte), offset, len);
-            if r.ext.last_was_write == Some(!write) {
-                *r.get_mut(P::POSIX_RW_SWITCHES) += 1;
-            }
-            r.ext.last_was_write = Some(write);
-            let (s, e) = (self.rel(t0), self.rel(t1));
-            r.stamp(Posix::STAMPS[1 + w], s, e);
-            *r.fget_mut(Posix::TIMES[w]) += e - s;
-            let mx = r.fget_mut(Posix::FMAX[w]);
-            *mx = mx.max(e - s);
-        });
-        if found.is_some() {
-            self.dxt_push(rec_id, op, offset, len, t0, t1);
-        }
+        self.bufs()
+            .posix_io_by_id(rec_id, DxtOp::Write, offset, len, t0, t1);
     }
 
     /// Instrument a metadata operation (seek/stat/fsync) against an
     /// existing record.
     pub fn posix_meta(&self, rec_id: u64, counter: P, t0: SimTime, t1: SimTime) {
-        self.with(&self.posix, rec_id, |r| self.meta(r, counter, t0, t1));
-    }
-
-    /// Instrument a re-`open` of a path whose record id is already known
-    /// (an interned-id memo hit in the event fold): the same counter and
-    /// timestamp mutation as [`DarshanRuntime::posix_open`], with no path
-    /// hashing or name registration. No-op if the record has vanished
-    /// (it cannot: records are never evicted).
-    pub fn posix_reopen(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
-        self.agg_opens.fetch_add(1, Ordering::Relaxed);
-        self.with(&self.posix, rec_id, |r| self.opened(r, t0, t1));
+        let mut b = self.bufs();
+        if let Some(slot) = b.posix.slot_of(rec_id) {
+            b.posix_meta(slot, counter, t0, t1);
+        }
     }
 
     /// Register a record for a file whose `open` predates attachment
     /// (OPENS stays 0; only subsequently observed operations count).
     pub fn posix_register_existing(&self, path: &str) -> Option<u64> {
-        self.ensure(&mut self.posix.lock(), path, self.current_epoch())
+        let mut b = self.bufs();
+        let slot = b.posix_slot(path)?;
+        Some(b.posix.records[slot as usize].rec_id)
     }
 
     /// Instrument a `stat` by path (creates the record if needed, like
-    /// Darshan's stat wrapper). Returns the record id so event folds can
-    /// memoize it; `None` when the module is out of record memory.
+    /// Darshan's stat wrapper). Returns the record id; `None` when the
+    /// module is out of record memory.
     pub fn posix_stat_path(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
-        self.with_path(&self.posix, path, |r| self.meta(r, P::POSIX_STATS, t0, t1))
+        let mut b = self.bufs();
+        let slot = b.posix_slot(path)?;
+        b.posix_meta(slot, P::POSIX_STATS, t0, t1);
+        Some(b.posix.records[slot as usize].rec_id)
     }
 
     /// Instrument a `close`.
     pub fn posix_close(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
-        self.with(&self.posix, rec_id, |r| self.closed(r, t0, t1));
+        let mut b = self.bufs();
+        if let Some(slot) = b.posix.slot_of(rec_id) {
+            b.posix_closed(slot, t0, t1);
+        }
     }
 
     // -- STDIO module -------------------------------------------------------
 
     /// Instrument `fopen`.
     pub fn stdio_open(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
-        self.with_path(&self.stdio, path, |r| self.opened(r, t0, t1))
-    }
-
-    /// Instrument a re-`fopen` of a stream whose record id is already
-    /// known (interned-id memo hit); see [`DarshanRuntime::posix_reopen`].
-    pub fn stdio_reopen(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
-        self.with(&self.stdio, rec_id, |r| self.opened(r, t0, t1));
+        let mut b = self.bufs();
+        let slot = b.stdio_slot(path)?;
+        b.stdio_opened(slot, t0, t1);
+        Some(b.stdio.records[slot as usize].rec_id)
     }
 
     /// Instrument `fread`.
     pub fn stdio_read(&self, rec_id: u64, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
-        self.stdio_io(rec_id, false, pos, len, t0, t1);
+        let mut b = self.bufs();
+        if let Some(slot) = b.stdio.slot_of(rec_id) {
+            b.stdio_io(slot, false, pos, len, t0, t1);
+        }
     }
 
     /// Instrument `fwrite`.
     pub fn stdio_write(&self, rec_id: u64, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
-        self.stdio_io(rec_id, true, pos, len, t0, t1);
-    }
-
-    fn stdio_io(&self, rec_id: u64, write: bool, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
-        let w = write as usize;
-        self.with(&self.stdio, rec_id, |r| {
-            *r.get_mut([S::STDIO_READS, S::STDIO_WRITES][w]) += 1;
-            *r.get_mut([S::STDIO_BYTES_READ, S::STDIO_BYTES_WRITTEN][w]) += len as i64;
-            let max_byte = [S::STDIO_MAX_BYTE_READ, S::STDIO_MAX_BYTE_WRITTEN][w];
-            max_offset(r.get_mut(max_byte), pos, len);
-            *r.fget_mut(Stdio::TIMES[w]) += self.rel(t1) - self.rel(t0);
-        });
+        let mut b = self.bufs();
+        if let Some(slot) = b.stdio.slot_of(rec_id) {
+            b.stdio_io(slot, true, pos, len, t0, t1);
+        }
     }
 
     /// Instrument `fseek` / `fflush`.
     pub fn stdio_meta(&self, rec_id: u64, counter: S, t0: SimTime, t1: SimTime) {
-        self.with(&self.stdio, rec_id, |r| self.meta(r, counter, t0, t1));
+        let mut b = self.bufs();
+        if let Some(slot) = b.stdio.slot_of(rec_id) {
+            b.stdio_meta(slot, counter, t0, t1);
+        }
     }
 
     /// Instrument `fclose`.
     pub fn stdio_close(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
-        self.with(&self.stdio, rec_id, |r| self.closed(r, t0, t1));
+        let mut b = self.bufs();
+        if let Some(slot) = b.stdio.slot_of(rec_id) {
+            b.stdio_closed(slot, t0, t1);
+        }
     }
 
     // -- DXT ----------------------------------------------------------------
 
-    fn dxt_push(&self, rec_id: u64, op: DxtOp, offset: u64, length: u64, t0: SimTime, t1: SimTime) {
-        if !self.config.dxt_enabled {
-            return;
-        }
-        let epoch = self.current_epoch();
-        let mut d = self.dxt.lock();
-        if d.total >= self.config.dxt_max_segments {
-            d.truncated = true;
-            return;
-        }
-        d.total += 1;
-        let seg = DxtSegment {
-            op,
-            offset,
-            length,
-            start: self.rel(t0),
-            end: self.rel(t1),
-            rank: self.config.rank,
-        };
-        let buf = &mut *d;
-        let f = buf.files.entry(rec_id).or_default();
-        if f.dirty_epoch <= buf.drained_epoch {
-            buf.dirty.push(rec_id);
-        }
-        f.dirty_epoch = epoch;
-        // Keep the per-file list end-sorted (the common case appends).
-        match f.segs.last() {
-            Some(last) if last.end > seg.end => {
-                let i = f.segs.partition_point(|s| s.end <= seg.end);
-                f.segs.insert(i, seg);
-            }
-            _ => f.segs.push(seg),
-        }
-    }
-
     /// All DXT segments of one file, in non-decreasing end-time order.
     pub fn dxt_of(&self, rec_id: u64) -> Vec<DxtSegment> {
+        let slot = self.posix.lock().slot_of(rec_id);
         self.dxt
             .lock()
-            .files
-            .get(&rec_id)
+            .file(slot)
             .map(|f| f.segs.clone())
             .unwrap_or_default()
     }
@@ -690,11 +607,11 @@ impl DarshanRuntime {
     pub fn dxt_range(&self, from: f64, to: f64) -> Vec<(u64, DxtSegment)> {
         let d = self.dxt.lock();
         let mut out: Vec<(u64, DxtSegment)> = Vec::new();
-        for (id, f) in d.files.iter() {
+        for f in &d.files {
             let lo = f.segs.partition_point(|s| s.end < from);
             for s in &f.segs[lo..] {
                 if s.start <= to {
-                    out.push((*id, *s));
+                    out.push((f.rec_id, *s));
                 }
             }
         }
@@ -714,18 +631,18 @@ impl DarshanRuntime {
     /// before `stop`.
     pub fn dxt_between(&self, start: &Snapshot, stop: &Snapshot) -> Vec<(u64, DxtSegment)> {
         let d = self.dxt.lock();
-        let mut ids = match d.log.get(start.dxt_pos..stop.dxt_pos) {
-            Some(ids) => ids.to_vec(),
+        let mut slots = match d.log.get(start.dxt_pos..stop.dxt_pos) {
+            Some(slots) => slots.to_vec(),
             None => return Vec::new(),
         };
-        ids.sort_unstable();
-        ids.dedup();
+        slots.sort_unstable();
+        slots.dedup();
         let mut out: Vec<(u64, DxtSegment)> = Vec::new();
-        for id in ids {
-            let f = &d.files[&id];
+        for slot in slots {
+            let f = &d.files[slot as usize];
             let (lo, hi) = (f.count_at(start.epoch), f.count_at(stop.epoch));
             if hi > lo {
-                out.extend(f.segs[lo..hi].iter().map(|s| (id, *s)));
+                out.extend(f.segs[lo..hi].iter().map(|s| (f.rec_id, *s)));
             }
         }
         out.sort_by(|a, b| a.1.start.total_cmp(&b.1.start).then(a.0.cmp(&b.0)));
@@ -838,12 +755,12 @@ impl DarshanRuntime {
             drained_epoch,
             ..
         } = &mut *d;
-        for &id in dirty.iter() {
-            let f = files.get_mut(&id).expect("dirty DXT files exist");
+        for &slot in dirty.iter() {
+            let f = &mut files[slot as usize];
             let len = f.segs.len();
             if f.marks.last().map_or(0, |m| m.1) < len {
                 f.marks.push((epoch, len));
-                log.push(id);
+                log.push(slot);
             }
         }
         if drain {
@@ -867,6 +784,245 @@ impl DarshanRuntime {
     /// (what the next [`DarshanRuntime::snapshot`] will pay for).
     pub fn dirty_record_count(&self) -> usize {
         self.posix.lock().dirty.len() + self.stdio.lock().dirty.len()
+    }
+}
+
+impl<M: Module> ModuleBuf<M> {
+    /// The slot of `path`'s record, creating the record (stamped dirty,
+    /// its name registered) on first sight; `None` with the partial flag
+    /// set once the module is out of record memory. Pure bookkeeping: the
+    /// new-record *time* cost is charged by the wrapper at the emission
+    /// site (this runs inside event folds, which must not sleep).
+    fn ensure(
+        &mut self,
+        rt: &DarshanRuntime,
+        epoch: u64,
+        path: impl AsRef<str> + Into<Arc<str>>,
+    ) -> Option<u32> {
+        let id = record_id(path.as_ref());
+        let Entry::Vacant(vacant) = self.index.entry(id) else {
+            return self.slot_of(id);
+        };
+        if self.records.len() >= rt.config.max_records_per_module {
+            self.partial = true;
+            return None;
+        }
+        rt.names.lock().register(id, || path.into());
+        let slot = self.records.len() as u32;
+        vacant.insert(slot);
+        self.records.push(Record::new(id));
+        self.touch(slot, epoch);
+        Some(slot)
+    }
+}
+
+/// The runtime's module and DXT buffers under one acquisition of each
+/// lock ([`DarshanRuntime::bufs`]). Mutators address records by slot, so
+/// folding an event into a known file costs a few indexed writes. The
+/// aggregates accumulate here and publish when the guard drops.
+pub(crate) struct Bufs<'a> {
+    rt: &'a DarshanRuntime,
+    /// The extraction epoch; it cannot advance while the module locks are
+    /// held.
+    epoch: u64,
+    posix: MutexGuard<'a, ModuleBuf<Posix>>,
+    stdio: MutexGuard<'a, ModuleBuf<Stdio>>,
+    dxt: MutexGuard<'a, DxtBuf>,
+    totals: Totals,
+}
+
+impl Bufs<'_> {
+    /// The POSIX slot of `path`, creating its record if needed.
+    pub(crate) fn posix_slot(&mut self, path: impl AsRef<str> + Into<Arc<str>>) -> Option<u32> {
+        self.posix.ensure(self.rt, self.epoch, path)
+    }
+
+    /// The STDIO slot of `path`, creating its record if needed.
+    pub(crate) fn stdio_slot(&mut self, path: impl AsRef<str> + Into<Arc<str>>) -> Option<u32> {
+        self.stdio.ensure(self.rt, self.epoch, path)
+    }
+
+    /// Count one POSIX `open` (whether or not a record could be held).
+    pub(crate) fn count_open(&mut self) {
+        self.totals.posix_opens += 1;
+    }
+
+    pub(crate) fn posix_opened(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
+        self.rt.opened(self.posix.touch(slot, self.epoch), t0, t1);
+    }
+
+    pub(crate) fn posix_closed(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
+        self.rt.closed(self.posix.touch(slot, self.epoch), t0, t1);
+    }
+
+    pub(crate) fn posix_meta(&mut self, slot: u32, counter: P, t0: SimTime, t1: SimTime) {
+        self.rt
+            .meta(self.posix.touch(slot, self.epoch), counter, t0, t1);
+    }
+
+    fn count_io(&mut self, op: DxtOp, len: u64) {
+        let t = &mut self.totals;
+        if op == DxtOp::Write {
+            t.posix_writes += 1;
+            t.posix_bytes_written += len;
+        } else {
+            t.posix_reads += 1;
+            t.posix_bytes_read += len;
+        }
+    }
+
+    fn posix_io_by_id(
+        &mut self,
+        rec_id: u64,
+        op: DxtOp,
+        offset: u64,
+        len: u64,
+        t0: SimTime,
+        t1: SimTime,
+    ) {
+        match self.posix.slot_of(rec_id) {
+            Some(slot) => self.posix_io(slot, op, offset, len, t0, t1),
+            None => self.count_io(op, len),
+        }
+    }
+
+    /// The POSIX read/write mutator: counts, the size histogram, the
+    /// SEQ/CONSEC and RW_SWITCHES pattern tracking, timing, and the DXT
+    /// segment — the part of the mutators that is POSIX's alone.
+    pub(crate) fn posix_io(
+        &mut self,
+        slot: u32,
+        op: DxtOp,
+        offset: u64,
+        len: u64,
+        t0: SimTime,
+        t1: SimTime,
+    ) {
+        self.count_io(op, len);
+        let (write, w) = (op == DxtOp::Write, (op == DxtOp::Write) as usize);
+        let (s, e) = (self.rt.rel(t0), self.rt.rel(t1));
+        let r = self.posix.touch(slot, self.epoch);
+        *r.get_mut([P::POSIX_READS, P::POSIX_WRITES][w]) += 1;
+        *r.get_mut([P::POSIX_BYTES_READ, P::POSIX_BYTES_WRITTEN][w]) += len as i64;
+        let hist = [P::POSIX_SIZE_READ_0_100, P::POSIX_SIZE_WRITE_0_100][w];
+        r.counters[hist as usize + size_bucket(len)] += 1;
+        r.ext.access_sizes.add(len);
+        let last_end = &mut r.ext.last_end[w];
+        let (consec, seq) = (offset == *last_end, offset >= *last_end);
+        *last_end = offset + len;
+        *r.get_mut([P::POSIX_CONSEC_READS, P::POSIX_CONSEC_WRITES][w]) += consec as i64;
+        *r.get_mut([P::POSIX_SEQ_READS, P::POSIX_SEQ_WRITES][w]) += seq as i64;
+        let max_byte = [P::POSIX_MAX_BYTE_READ, P::POSIX_MAX_BYTE_WRITTEN][w];
+        max_offset(r.get_mut(max_byte), offset, len);
+        if r.ext.last_was_write == Some(!write) {
+            *r.get_mut(P::POSIX_RW_SWITCHES) += 1;
+        }
+        r.ext.last_was_write = Some(write);
+        r.stamp(Posix::STAMPS[1 + w], s, e);
+        *r.fget_mut(Posix::TIMES[w]) += e - s;
+        let mx = r.fget_mut(Posix::FMAX[w]);
+        *mx = mx.max(e - s);
+        let rec_id = r.rec_id;
+        self.dxt_push(slot, rec_id, op, offset, len, s, e);
+    }
+
+    /// Append one segment to the DXT list at `slot`, keeping it
+    /// end-sorted (the common case appends).
+    #[allow(clippy::too_many_arguments)]
+    fn dxt_push(
+        &mut self,
+        slot: u32,
+        rec_id: u64,
+        op: DxtOp,
+        offset: u64,
+        length: u64,
+        start: f64,
+        end: f64,
+    ) {
+        let config = &self.rt.config;
+        if !config.dxt_enabled {
+            return;
+        }
+        let d = &mut *self.dxt;
+        if d.total >= config.dxt_max_segments {
+            d.truncated = true;
+            return;
+        }
+        d.total += 1;
+        let seg = DxtSegment {
+            op,
+            offset,
+            length,
+            start,
+            end,
+            rank: config.rank,
+        };
+        let i = slot as usize;
+        if d.files.len() <= i {
+            d.files.resize_with(i + 1, DxtFile::default);
+        }
+        let f = &mut d.files[i];
+        f.rec_id = rec_id;
+        if f.dirty_epoch <= d.drained_epoch {
+            d.dirty.push(slot);
+        }
+        f.dirty_epoch = self.epoch;
+        match f.segs.last() {
+            Some(last) if last.end > seg.end => {
+                let i = f.segs.partition_point(|s| s.end <= seg.end);
+                f.segs.insert(i, seg);
+            }
+            _ => f.segs.push(seg),
+        }
+    }
+
+    pub(crate) fn stdio_opened(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
+        self.rt.opened(self.stdio.touch(slot, self.epoch), t0, t1);
+    }
+
+    pub(crate) fn stdio_closed(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
+        self.rt.closed(self.stdio.touch(slot, self.epoch), t0, t1);
+    }
+
+    pub(crate) fn stdio_meta(&mut self, slot: u32, counter: S, t0: SimTime, t1: SimTime) {
+        self.rt
+            .meta(self.stdio.touch(slot, self.epoch), counter, t0, t1);
+    }
+
+    pub(crate) fn stdio_io(
+        &mut self,
+        slot: u32,
+        write: bool,
+        pos: u64,
+        len: u64,
+        t0: SimTime,
+        t1: SimTime,
+    ) {
+        let w = write as usize;
+        let dt = self.rt.rel(t1) - self.rt.rel(t0);
+        let r = self.stdio.touch(slot, self.epoch);
+        *r.get_mut([S::STDIO_READS, S::STDIO_WRITES][w]) += 1;
+        *r.get_mut([S::STDIO_BYTES_READ, S::STDIO_BYTES_WRITTEN][w]) += len as i64;
+        let max_byte = [S::STDIO_MAX_BYTE_READ, S::STDIO_MAX_BYTE_WRITTEN][w];
+        max_offset(r.get_mut(max_byte), pos, len);
+        *r.fget_mut(Stdio::TIMES[w]) += dt;
+    }
+}
+
+impl Drop for Bufs<'_> {
+    fn drop(&mut self) {
+        let (rt, t) = (self.rt, self.totals);
+        for (agg, n) in [
+            (&rt.agg_opens, t.posix_opens),
+            (&rt.agg_reads, t.posix_reads),
+            (&rt.agg_writes, t.posix_writes),
+            (&rt.agg_bytes_read, t.posix_bytes_read),
+            (&rt.agg_bytes_written, t.posix_bytes_written),
+        ] {
+            if n > 0 {
+                agg.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -1064,7 +1220,7 @@ mod tests {
             let s2 = rt.snapshot();
             assert_eq!(s1.posix_by_path("/d/f").unwrap().get(P::POSIX_READS), 1);
             assert_eq!(s2.posix_by_path("/d/f").unwrap().get(P::POSIX_READS), 2);
-            assert_eq!(s1.names[&record_id("/d/f")], "/d/f");
+            assert_eq!(s1.names.get(record_id("/d/f")).as_deref(), Some("/d/f"));
         });
         sim.run();
     }

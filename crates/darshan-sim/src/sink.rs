@@ -26,33 +26,49 @@
 //! current extraction epoch, which is what lets
 //! [`DarshanRuntime::snapshot`] copy only the records this fold dirtied
 //! since the previous extraction (O(dirty), not O(total)).
+//!
+//! # Cost per event
+//!
+//! A delivered batch takes the sink's memo lock and the runtime's module
+//! and DXT locks once ([`DarshanRuntime::bufs`]), not once per event. The
+//! memos map interned paths, descriptors, streams and mappings to record
+//! *slots* in integer-keyed maps, so a read, write, seek or close on a
+//! known file is a memo lookup plus indexed writes into its record and
+//! its DXT list. A path is resolved and hashed into a record id only the
+//! first time this sink sees it, and its name is registered with the
+//! interner's shared `Arc<str>`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use probe::{EventKind, IoEvent, Origin, PathId, ProbeSink};
 
 use crate::counters::{PosixCounter as P, StdioCounter as S};
-use crate::runtime::DarshanRuntime;
+use crate::idmap::IdMap;
+use crate::runtime::{Bufs, DarshanRuntime, DxtOp};
 
 /// Folds probe events into a [`DarshanRuntime`]'s module buffers.
 pub struct DarshanSink {
     rt: Arc<DarshanRuntime>,
-    /// fd → record id (lazily recovered for pre-attachment descriptors).
-    fds: Mutex<HashMap<i32, u64>>,
-    /// mapping → record id (for msync attribution).
-    maps: Mutex<HashMap<u64, u64>>,
-    /// stream → record id.
-    streams: Mutex<HashMap<u64, u64>>,
-    /// interned path → POSIX record id. Filled the first time a path is
-    /// seen; module records are never evicted, so a hit means the record
-    /// exists and the fold can skip resolving the string and re-hashing
-    /// it into a record id.
-    posix_recs: Mutex<HashMap<PathId, u64>>,
-    /// interned path → STDIO record id (separate module, separate map:
-    /// a path opened via POSIX may have no STDIO record yet).
-    stdio_recs: Mutex<HashMap<PathId, u64>>,
+    memo: Mutex<Memo>,
+}
+
+/// The fold's descriptor bookkeeping, all keyed to record slots.
+#[derive(Default)]
+struct Memo {
+    /// fd → POSIX slot (lazily recovered for pre-attachment descriptors).
+    fds: IdMap<i32, u32>,
+    /// mapping → POSIX slot (for msync attribution).
+    maps: IdMap<u64, u32>,
+    /// stream → STDIO slot.
+    streams: IdMap<u64, u32>,
+    /// interned path → POSIX slot. Filled the first time a path is seen;
+    /// records are never evicted, so a hit means the record exists.
+    posix_paths: IdMap<PathId, u32>,
+    /// interned path → STDIO slot (separate module, separate map: a path
+    /// opened via POSIX may have no STDIO record yet).
+    stdio_paths: IdMap<PathId, u32>,
 }
 
 impl DarshanSink {
@@ -60,153 +76,149 @@ impl DarshanSink {
     pub fn new(rt: Arc<DarshanRuntime>) -> Arc<Self> {
         Arc::new(DarshanSink {
             rt,
-            fds: Mutex::new(HashMap::new()),
-            maps: Mutex::new(HashMap::new()),
-            streams: Mutex::new(HashMap::new()),
-            posix_recs: Mutex::new(HashMap::new()),
-            stdio_recs: Mutex::new(HashMap::new()),
+            memo: Mutex::default(),
         })
     }
+}
 
-    /// Resolve the record id of `fd`, registering lazily for descriptors
-    /// opened before attachment (their `open` predates the sink, so the
-    /// path travels on the event instead — à la `/proc/self/fd`).
-    fn rec_of(&self, fd: i32, path: PathId) -> Option<u64> {
-        if let Some(id) = self.fds.lock().get(&fd) {
-            return Some(*id);
+impl Memo {
+    /// The POSIX slot of `path`, creating its record on first sight; `None`
+    /// while the module is out of record memory (not memoized, so a later
+    /// event retries, as the runtime's own mutators do).
+    fn posix_path(&mut self, b: &mut Bufs<'_>, path: PathId) -> Option<u32> {
+        match self.posix_paths.entry(path) {
+            Entry::Occupied(slot) => Some(*slot.get()),
+            Entry::Vacant(memo) => Some(*memo.insert(b.posix_slot(path.resolve())?)),
         }
-        let id = memo_open(
-            &self.posix_recs,
-            path,
-            |_| {},
-            |p| self.rt.posix_register_existing(p),
-        )?;
-        self.fds.lock().insert(fd, id);
-        Some(id)
     }
 
-    fn fold(&self, ev: &IoEvent) {
-        // Symbol-level instrumentation only sees what the *application*
-        // called: libc-internal descriptor traffic, background prefetch
-        // daemon I/O, and page faults never reach the wrapped symbols.
-        if ev.origin != Origin::App {
-            return;
+    fn stdio_path(&mut self, b: &mut Bufs<'_>, path: PathId) -> Option<u32> {
+        match self.stdio_paths.entry(path) {
+            Entry::Occupied(slot) => Some(*slot.get()),
+            Entry::Vacant(memo) => Some(*memo.insert(b.stdio_slot(path.resolve())?)),
         }
-        let rt = &self.rt;
+    }
+
+    /// The POSIX slot of `fd`, registering lazily for descriptors opened
+    /// before attachment (their `open` predates the sink, so the path
+    /// travels on the event instead — à la `/proc/self/fd`).
+    fn fd_slot(&mut self, b: &mut Bufs<'_>, fd: i32, path: PathId) -> Option<u32> {
+        if let Some(&slot) = self.fds.get(&fd) {
+            return Some(slot);
+        }
+        let slot = self.posix_path(b, path)?;
+        self.fds.insert(fd, slot);
+        Some(slot)
+    }
+
+    fn fold(&mut self, b: &mut Bufs<'_>, ev: &IoEvent) {
         let (t0, t1) = (ev.t0, ev.t1);
-        let fd_meta = |fd, counter| {
-            if let Some(id) = self.rec_of(fd, ev.target) {
-                rt.posix_meta(id, counter, t0, t1);
-            }
-        };
-        let stream_rec = |stream| self.streams.lock().get(&stream).copied();
-        let stream_meta = |stream, counter| {
-            if let Some(id) = stream_rec(stream) {
-                rt.stdio_meta(id, counter, t0, t1);
+        let mut fd_meta = |m: &mut Self, fd, counter| {
+            if let Some(slot) = m.fd_slot(b, fd, ev.target) {
+                b.posix_meta(slot, counter, t0, t1);
             }
         };
         match ev.kind {
             EventKind::Open { fd } => {
-                let reopen = |id| rt.posix_reopen(id, t0, t1);
-                let open = |p: &str| rt.posix_open(p, t0, t1);
-                if let Some(id) = memo_open(&self.posix_recs, ev.target, reopen, open) {
-                    self.fds.lock().insert(fd, id);
+                b.count_open();
+                if let Some(slot) = self.posix_path(b, ev.target) {
+                    b.posix_opened(slot, t0, t1);
+                    self.fds.insert(fd, slot);
                 }
             }
             EventKind::Close { fd } => {
                 // No lazy registration on close (mirrors the old wrapper):
                 // a descriptor first seen at close has nothing to record.
-                if let Some(id) = self.fds.lock().remove(&fd) {
-                    rt.posix_close(id, t0, t1);
+                if let Some(slot) = self.fds.remove(&fd) {
+                    b.posix_closed(slot, t0, t1);
                 }
             }
             EventKind::Read { fd, offset, len } => {
-                if let Some(id) = self.rec_of(fd, ev.target) {
-                    rt.posix_read(id, offset, len, t0, t1);
+                if let Some(slot) = self.fd_slot(b, fd, ev.target) {
+                    b.posix_io(slot, DxtOp::Read, offset, len, t0, t1);
                 }
             }
             EventKind::Write { fd, offset, len } => {
-                if let Some(id) = self.rec_of(fd, ev.target) {
-                    rt.posix_write(id, offset, len, t0, t1);
+                if let Some(slot) = self.fd_slot(b, fd, ev.target) {
+                    b.posix_io(slot, DxtOp::Write, offset, len, t0, t1);
                 }
             }
-            EventKind::Seek { fd, .. } => fd_meta(fd, P::POSIX_SEEKS),
+            EventKind::Seek { fd, .. } => fd_meta(self, fd, P::POSIX_SEEKS),
             EventKind::Stat => {
-                let stat = |id| rt.posix_meta(id, P::POSIX_STATS, t0, t1);
-                let stat_path = |p: &str| rt.posix_stat_path(p, t0, t1);
-                memo_open(&self.posix_recs, ev.target, stat, stat_path);
+                if let Some(slot) = self.posix_path(b, ev.target) {
+                    b.posix_meta(slot, P::POSIX_STATS, t0, t1);
+                }
             }
-            EventKind::Fstat { fd } => fd_meta(fd, P::POSIX_STATS),
-            EventKind::Fsync { fd } => fd_meta(fd, P::POSIX_FSYNCS),
+            EventKind::Fstat { fd } => fd_meta(self, fd, P::POSIX_STATS),
+            EventKind::Fsync { fd } => fd_meta(self, fd, P::POSIX_FSYNCS),
             EventKind::Mmap { map, fd, .. } => {
-                if let Some(id) = self.rec_of(fd, ev.target) {
-                    rt.posix_meta(id, P::POSIX_MMAPS, t0, t1);
-                    self.maps.lock().insert(map, id);
+                if let Some(slot) = self.fd_slot(b, fd, ev.target) {
+                    b.posix_meta(slot, P::POSIX_MMAPS, t0, t1);
+                    self.maps.insert(map, slot);
                 }
             }
             EventKind::Msync { map } => {
-                let rec = self.maps.lock().get(&map).copied();
-                if let Some(id) = rec {
-                    rt.posix_meta(id, P::POSIX_MSYNCS, t0, t1);
+                if let Some(&slot) = self.maps.get(&map) {
+                    b.posix_meta(slot, P::POSIX_MSYNCS, t0, t1);
                 }
             }
             EventKind::Munmap { map } => {
-                self.maps.lock().remove(&map);
+                self.maps.remove(&map);
             }
-            EventKind::MmapFault { .. } => {} // not a syscall: blind spot
             EventKind::StdioOpen { stream } => {
-                let reopen = |id| rt.stdio_reopen(id, t0, t1);
-                let open = |p: &str| rt.stdio_open(p, t0, t1);
-                if let Some(id) = memo_open(&self.stdio_recs, ev.target, reopen, open) {
-                    self.streams.lock().insert(stream, id);
+                if let Some(slot) = self.stdio_path(b, ev.target) {
+                    b.stdio_opened(slot, t0, t1);
+                    self.streams.insert(stream, slot);
                 }
             }
             EventKind::StdioClose { stream } => {
-                if let Some(id) = self.streams.lock().remove(&stream) {
-                    rt.stdio_close(id, t0, t1);
+                if let Some(slot) = self.streams.remove(&stream) {
+                    b.stdio_closed(slot, t0, t1);
                 }
             }
             EventKind::StdioRead { stream, pos, len } => {
-                if let Some(id) = stream_rec(stream) {
-                    rt.stdio_read(id, pos, len, t0, t1);
+                if let Some(&slot) = self.streams.get(&stream) {
+                    b.stdio_io(slot, false, pos, len, t0, t1);
                 }
             }
             EventKind::StdioWrite { stream, pos, len } => {
-                if let Some(id) = stream_rec(stream) {
-                    rt.stdio_write(id, pos, len, t0, t1);
+                if let Some(&slot) = self.streams.get(&stream) {
+                    b.stdio_io(slot, true, pos, len, t0, t1);
                 }
             }
-            EventKind::StdioSeek { stream, .. } => stream_meta(stream, S::STDIO_SEEKS),
-            EventKind::StdioFlush { stream } => stream_meta(stream, S::STDIO_FLUSHES),
-            EventKind::TraceSpan { .. } => {} // profiler-side, not I/O
-            EventKind::Sync { .. } => {}      // ordering metadata, not I/O
+            EventKind::StdioSeek { stream, .. } => {
+                if let Some(&slot) = self.streams.get(&stream) {
+                    b.stdio_meta(slot, S::STDIO_SEEKS, t0, t1);
+                }
+            }
+            EventKind::StdioFlush { stream } => {
+                if let Some(&slot) = self.streams.get(&stream) {
+                    b.stdio_meta(slot, S::STDIO_FLUSHES, t0, t1);
+                }
+            }
+            // Never folded; `on_events` skips them before taking locks.
+            EventKind::MmapFault { .. } | EventKind::TraceSpan { .. } | EventKind::Sync { .. } => {}
         }
     }
 }
 
-/// Open `target` on one module through its interned-path memo: a hit
-/// hands the known record id to `hit`; a miss resolves the path, lets
-/// `miss` find or create the record, and memoizes the id it returns.
-fn memo_open(
-    memo: &Mutex<HashMap<PathId, u64>>,
-    target: PathId,
-    hit: impl FnOnce(u64),
-    miss: impl FnOnce(&str) -> Option<u64>,
-) -> Option<u64> {
-    let known = memo.lock().get(&target).copied();
-    if let Some(id) = known {
-        hit(id);
-        return Some(id);
-    }
-    let id = miss(&target.resolve())?;
-    memo.lock().insert(target, id);
-    Some(id)
-}
-
 impl ProbeSink for DarshanSink {
     fn on_events(&self, events: &[IoEvent]) {
+        let mut memo = self.memo.lock();
+        let mut bufs = None;
         for ev in events {
-            self.fold(ev);
+            // Symbol-level instrumentation only sees what the *application*
+            // called: libc-internal descriptor traffic, background prefetch
+            // daemon I/O, page faults (not syscalls: a blind spot), and the
+            // profiler's own spans and sync edges never reach the wrapped
+            // symbols.
+            let folded = !matches!(
+                ev.kind,
+                EventKind::MmapFault { .. } | EventKind::TraceSpan { .. } | EventKind::Sync { .. }
+            );
+            if ev.origin == Origin::App && folded {
+                memo.fold(bufs.get_or_insert_with(|| self.rt.bufs()), ev);
+            }
         }
     }
 }

@@ -80,7 +80,7 @@ fn main() {
     let job_records = reduce_job(&per_rank.iter().map(|s| s.posix.clone()).collect::<Vec<_>>());
     let mut names = std::collections::HashMap::new();
     for s in &per_rank {
-        names.extend(s.names.iter().map(|(k, v)| (*k, v.clone())));
+        names.extend(s.names.iter().map(|(k, v)| (k, v.to_string())));
     }
     let log = DarshanLog {
         job_start: 0.0,

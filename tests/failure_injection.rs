@@ -218,7 +218,7 @@ fn detach_mid_session_yields_correct_incremental_diff() {
         let d = tf_darshan::tfdarshan::diff(&start, &stop);
         assert_eq!(d.posix.len(), 1, "only the in-window file has a delta");
         let live_id = d.posix[0].rec_id;
-        assert_eq!(d.names[&live_id], "/data/live");
+        assert_eq!(d.names.get(live_id).as_deref(), Some("/data/live"));
         assert_eq!(d.posix[0].get(P::POSIX_OPENS), 1);
         assert_eq!(d.posix[0].get(P::POSIX_READS), 1);
         assert_eq!(d.posix[0].get(P::POSIX_BYTES_READ), 64 << 10);

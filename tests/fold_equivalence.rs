@@ -174,7 +174,7 @@ fn window_key(w: &[(u64, DxtSegment)]) -> Vec<(u64, SegKey)> {
 }
 
 fn names_of(s: &Snapshot) -> HashMap<u64, String> {
-    s.names.iter().map(|(id, n)| (*id, n.clone())).collect()
+    s.names.to_map()
 }
 
 fn records_match<M: Module>(

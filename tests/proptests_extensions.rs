@@ -281,7 +281,7 @@ proptest! {
         sim.run();
         let (live, one_shot, dxt_live, dxt_replay) = h.join();
 
-        prop_assert_eq!(&*live.names, &*one_shot.names);
+        prop_assert_eq!(&live.names, &one_shot.names);
         prop_assert_eq!(live.posix.len(), one_shot.posix.len());
         for (l, r) in live.posix.iter().zip(one_shot.posix.iter()) {
             prop_assert_eq!(l.rec_id, r.rec_id);
@@ -468,7 +468,7 @@ fn session_of(rank: u32, recs: Vec<PosixRecord>, dxt: Vec<(u64, DxtSegment)>) ->
             window: (0.0, 2.0),
             posix: recs,
             stdio: Vec::new(),
-            names: Arc::new(names),
+            names,
             partial: false,
         },
         dxt,
@@ -891,7 +891,7 @@ fn driver_session(r: u32) -> RankSession {
             window: (0.01 * rf, 2.0 + 0.01 * rf),
             posix,
             stdio,
-            names: Arc::new(names),
+            names,
             partial: false,
         },
         dxt,

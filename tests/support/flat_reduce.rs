@@ -7,11 +7,9 @@
 //! Include with `#[path = "support/flat_reduce.rs"] mod flat_reduce;`.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 use tf_darshan::darshan::{
-    DxtSegment, PosixCounter as P, PosixFCounter as PF, PosixRecord, StdioCounter as S,
+    DxtSegment, Names, PosixCounter as P, PosixFCounter as PF, PosixRecord, StdioCounter as S,
     StdioFCounter as SF, StdioRecord,
 };
 use tf_darshan::tfdarshan::{
@@ -216,18 +214,12 @@ pub fn reduce_job_sessions_sized(sessions: &[RankSession], world_size: u32) -> J
         })
         .collect();
 
-    // Names: the union across ranks (identical Arc reused for one rank, so
-    // the single-rank job path shares rather than copies).
-    let names = if sessions.len() == 1 {
+    // Names: the union across ranks, first rank wins (the view is shared
+    // as is for one rank).
+    let names: Names = if sessions.len() == 1 {
         sessions[0].diff.names.clone()
     } else {
-        let mut union: HashMap<u64, String> = HashMap::new();
-        for s in sessions {
-            for (id, name) in s.diff.names.iter() {
-                union.entry(*id).or_insert_with(|| name.clone());
-            }
-        }
-        Arc::new(union)
+        sessions.iter().flat_map(|s| s.diff.names.iter()).collect()
     };
 
     let window = (
