@@ -25,11 +25,19 @@
 //! `snapshot_cost_per_record × dirty_count` instead of `× total_records`.
 //! The same idea covers DXT (per-file append watermarks and a log of the
 //! files each capture marked, see [`DarshanRuntime::dxt_between`]) and
-//! the name map (`Arc`'d copy-on-write). The legacy full-copy path
-//! survives as [`DarshanRuntime::snapshot_full`] for comparison and as
-//! the equivalence oracle.
+//! the name records (an append-only table that snapshots view, see
+//! [`Names`]). The legacy full-copy path survives as
+//! [`DarshanRuntime::snapshot_full`] for comparison and as the
+//! equivalence oracle.
+//!
+//! # Slots
+//!
+//! Each module keeps its records in a slab, and the name table maps a
+//! record id to its name and to its slot in each module; a file's DXT
+//! list sits at its POSIX slot. Records are never evicted, so the event
+//! fold memoizes slots and folds a known file's event as indexed writes,
+//! with the module and DXT buffers under one lock taken once per batch.
 
-use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,8 +49,7 @@ use crate::counters::{
     record_id, size_bucket, Module, Posix, PosixCounter as P, PosixRecord, Record, Stdio,
     StdioCounter as S, StdioRecord,
 };
-use crate::idmap::IdMap;
-use crate::names::Names;
+use crate::names::{Names, SharedTable, POSIX, STDIO};
 
 /// Configuration of the Darshan runtime (environment variables in real
 /// Darshan: `DARSHAN_MODMEM`, `DXT_ENABLE_IO_TRACE`, ...).
@@ -115,13 +122,13 @@ pub struct DxtSegment {
     pub rank: u32,
 }
 
-/// One module's records: a slab in creation order plus a `rec_id → slot`
-/// index. Records are never evicted, so a slot names its record for the
-/// runtime's lifetime and the event fold can memoize it.
+/// One module's records: a slab in creation order (the runtime's name
+/// table maps each record id to its slot). Records are never evicted, so
+/// a slot names its record for the runtime's lifetime and the event fold
+/// can memoize it.
 #[derive(Default)]
 struct ModuleBuf<M: Module> {
     records: Vec<Record<M>>,
-    index: IdMap<u64, u32>,
     partial: bool,
     /// Slots dirtied since the last incremental extraction. Each slot
     /// appears at most once: a record is listed iff
@@ -132,10 +139,6 @@ struct ModuleBuf<M: Module> {
 }
 
 impl<M: Module> ModuleBuf<M> {
-    fn slot_of(&self, rec_id: u64) -> Option<u32> {
-        self.index.get(&rec_id).copied()
-    }
-
     /// Stamp the record at `slot` dirty at `epoch` and return it.
     fn touch(&mut self, slot: u32, epoch: u64) -> &mut Record<M> {
         let r = &mut self.records[slot as usize];
@@ -252,9 +255,39 @@ impl DxtBuf {
     fn file(&self, slot: Option<u32>) -> Option<&DxtFile> {
         self.files.get(slot? as usize)
     }
+
+    /// Mark, at `epoch`, every file appended-to since the last
+    /// incremental capture that grew past its last mark, and log it. An
+    /// incremental capture (`drain`) then empties the dirty list; a full
+    /// one leaves it, so the next incremental capture still sees those
+    /// files (and marks only the ones that grew again). Returns the
+    /// segment total, the truncated flag and the log position.
+    fn capture_marks(&mut self, epoch: u64, drain: bool) -> (usize, bool, usize) {
+        for &slot in self.dirty.iter() {
+            let f = &mut self.files[slot as usize];
+            let len = f.segs.len();
+            if f.marks.last().map_or(0, |m| m.1) < len {
+                f.marks.push((epoch, len));
+                self.log.push(slot);
+            }
+        }
+        if drain {
+            self.dirty.clear();
+            self.drained_epoch = epoch;
+        }
+        (self.total, self.truncated, self.log.len())
+    }
 }
 
-/// While a snapshot copies the module buffers it holds the module locks;
+/// Everything the event fold mutates, under one lock.
+#[derive(Default)]
+struct Modules {
+    posix: ModuleBuf<Posix>,
+    stdio: ModuleBuf<Stdio>,
+    dxt: DxtBuf,
+}
+
+/// While a snapshot copies the module buffers it holds the module lock;
 /// instrumented operations stall until the copy completes. This gate
 /// models that: `close` during extraction, `open` after, wrappers wait.
 #[derive(Default)]
@@ -363,12 +396,11 @@ pub struct DarshanRuntime {
     /// i.e. "dirty since before any extraction"); each snapshot claims the
     /// current value and advances it.
     epoch: AtomicU64,
-    /// The runtime's own view of the name table (it alone registers).
-    names: Mutex<Names>,
-    posix: Mutex<ModuleBuf<Posix>>,
-    stdio: Mutex<ModuleBuf<Stdio>>,
+    /// Record id → name and module slots, shared with snapshots' views.
+    names: SharedTable,
+    /// The module and DXT buffers.
+    modules: Mutex<Modules>,
     baseline: Mutex<Baseline>,
-    dxt: Mutex<DxtBuf>,
     gate: Gate,
     // Aggregates (atomic so bandwidth probes don't lock modules).
     agg_bytes_read: AtomicU64,
@@ -385,11 +417,9 @@ impl DarshanRuntime {
             config,
             init_time: simrt::try_now().unwrap_or(SimTime::ZERO),
             epoch: AtomicU64::new(1),
-            names: Mutex::default(),
-            posix: Mutex::default(),
-            stdio: Mutex::default(),
+            names: SharedTable::default(),
+            modules: Mutex::default(),
             baseline: Mutex::default(),
-            dxt: Mutex::default(),
             gate: Gate::default(),
             agg_bytes_read: AtomicU64::new(0),
             agg_bytes_written: AtomicU64::new(0),
@@ -421,7 +451,7 @@ impl DarshanRuntime {
     }
 
     /// Charge the per-operation instrumentation cost; stalls while a
-    /// snapshot holds the module locks.
+    /// snapshot holds the module lock.
     pub fn charge_op(&self) {
         self.gate.wait_open();
         if !self.config.per_op_overhead.is_zero() {
@@ -439,33 +469,25 @@ impl DarshanRuntime {
         }
     }
 
-    /// Register (or look up) the name record for `path`. Names only
-    /// append: snapshots keep their view, so registering never copies the
-    /// names already held.
-    pub fn register_name(&self, path: &str) -> u64 {
-        let id = record_id(path);
-        self.names.lock().register(id, || Arc::from(path));
-        id
-    }
-
     /// Resolve a record id back to a path (the helper tf-Darshan `dlsym`s).
     pub fn lookup_name(&self, rec_id: u64) -> Option<String> {
-        self.names.lock().get(rec_id).map(|p| p.to_string())
+        Names::view(&self.names).get(rec_id).map(|p| p.to_string())
     }
 
-    /// The module and DXT buffers, each lock taken once: what one event
-    /// fold batch or one direct mutator call works on. Lock order is
-    /// POSIX, STDIO, DXT (extraction takes them in the same order).
+    /// The module and DXT buffers under their one lock: what one event
+    /// fold batch or one direct mutator call works on.
     pub(crate) fn bufs(&self) -> Bufs<'_> {
-        let (posix, stdio, dxt) = (self.posix.lock(), self.stdio.lock(), self.dxt.lock());
         Bufs {
             rt: self,
             epoch: self.current_epoch(),
-            posix,
-            stdio,
-            dxt,
+            m: self.modules.lock(),
             totals: Totals::default(),
         }
+    }
+
+    /// The slot of `rec_id`'s record in module `m`.
+    fn slot(&self, rec_id: u64, m: usize) -> Option<u32> {
+        self.names.read().slot(rec_id, m)
     }
 
     fn opened<M: Module>(&self, r: &mut Record<M>, t0: SimTime, t1: SimTime) {
@@ -495,26 +517,32 @@ impl DarshanRuntime {
         b.totals.posix_opens += 1;
         let slot = b.posix_slot(path)?;
         b.posix_opened(slot, t0, t1);
-        Some(b.posix.records[slot as usize].rec_id)
+        Some(b.m.posix.records[slot as usize].rec_id)
     }
 
     /// Instrument a read of `len` bytes at `offset`.
     pub fn posix_read(&self, rec_id: u64, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
-        self.bufs()
-            .posix_io_by_id(rec_id, DxtOp::Read, offset, len, t0, t1);
+        self.posix_io(rec_id, DxtOp::Read, offset, len, t0, t1);
     }
 
     /// Instrument a write.
     pub fn posix_write(&self, rec_id: u64, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
-        self.bufs()
-            .posix_io_by_id(rec_id, DxtOp::Write, offset, len, t0, t1);
+        self.posix_io(rec_id, DxtOp::Write, offset, len, t0, t1);
+    }
+
+    fn posix_io(&self, rec_id: u64, op: DxtOp, offset: u64, len: u64, t0: SimTime, t1: SimTime) {
+        let mut b = self.bufs();
+        match self.slot(rec_id, POSIX) {
+            Some(slot) => b.posix_io(slot, op, offset, len, t0, t1),
+            None => b.count_io(op, len),
+        }
     }
 
     /// Instrument a metadata operation (seek/stat/fsync) against an
     /// existing record.
     pub fn posix_meta(&self, rec_id: u64, counter: P, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
-        if let Some(slot) = b.posix.slot_of(rec_id) {
+        if let Some(slot) = self.slot(rec_id, POSIX) {
             b.posix_meta(slot, counter, t0, t1);
         }
     }
@@ -524,7 +552,7 @@ impl DarshanRuntime {
     pub fn posix_register_existing(&self, path: &str) -> Option<u64> {
         let mut b = self.bufs();
         let slot = b.posix_slot(path)?;
-        Some(b.posix.records[slot as usize].rec_id)
+        Some(b.m.posix.records[slot as usize].rec_id)
     }
 
     /// Instrument a `stat` by path (creates the record if needed, like
@@ -534,13 +562,13 @@ impl DarshanRuntime {
         let mut b = self.bufs();
         let slot = b.posix_slot(path)?;
         b.posix_meta(slot, P::POSIX_STATS, t0, t1);
-        Some(b.posix.records[slot as usize].rec_id)
+        Some(b.m.posix.records[slot as usize].rec_id)
     }
 
     /// Instrument a `close`.
     pub fn posix_close(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
-        if let Some(slot) = b.posix.slot_of(rec_id) {
+        if let Some(slot) = self.slot(rec_id, POSIX) {
             b.posix_closed(slot, t0, t1);
         }
     }
@@ -552,13 +580,13 @@ impl DarshanRuntime {
         let mut b = self.bufs();
         let slot = b.stdio_slot(path)?;
         b.stdio_opened(slot, t0, t1);
-        Some(b.stdio.records[slot as usize].rec_id)
+        Some(b.m.stdio.records[slot as usize].rec_id)
     }
 
     /// Instrument `fread`.
     pub fn stdio_read(&self, rec_id: u64, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
-        if let Some(slot) = b.stdio.slot_of(rec_id) {
+        if let Some(slot) = self.slot(rec_id, STDIO) {
             b.stdio_io(slot, false, pos, len, t0, t1);
         }
     }
@@ -566,7 +594,7 @@ impl DarshanRuntime {
     /// Instrument `fwrite`.
     pub fn stdio_write(&self, rec_id: u64, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
-        if let Some(slot) = b.stdio.slot_of(rec_id) {
+        if let Some(slot) = self.slot(rec_id, STDIO) {
             b.stdio_io(slot, true, pos, len, t0, t1);
         }
     }
@@ -574,7 +602,7 @@ impl DarshanRuntime {
     /// Instrument `fseek` / `fflush`.
     pub fn stdio_meta(&self, rec_id: u64, counter: S, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
-        if let Some(slot) = b.stdio.slot_of(rec_id) {
+        if let Some(slot) = self.slot(rec_id, STDIO) {
             b.stdio_meta(slot, counter, t0, t1);
         }
     }
@@ -582,7 +610,7 @@ impl DarshanRuntime {
     /// Instrument `fclose`.
     pub fn stdio_close(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
-        if let Some(slot) = b.stdio.slot_of(rec_id) {
+        if let Some(slot) = self.slot(rec_id, STDIO) {
             b.stdio_closed(slot, t0, t1);
         }
     }
@@ -591,12 +619,9 @@ impl DarshanRuntime {
 
     /// All DXT segments of one file, in non-decreasing end-time order.
     pub fn dxt_of(&self, rec_id: u64) -> Vec<DxtSegment> {
-        let slot = self.posix.lock().slot_of(rec_id);
-        self.dxt
-            .lock()
-            .file(slot)
-            .map(|f| f.segs.clone())
-            .unwrap_or_default()
+        let slot = self.slot(rec_id, POSIX);
+        let m = self.modules.lock();
+        m.dxt.file(slot).map(|f| f.segs.clone()).unwrap_or_default()
     }
 
     /// Extract all DXT segments overlapping `[from, to]` (Darshan-relative
@@ -605,7 +630,8 @@ impl DarshanRuntime {
     /// end-sorted, so the lower bound is a binary search instead of a scan
     /// over every segment ever recorded.
     pub fn dxt_range(&self, from: f64, to: f64) -> Vec<(u64, DxtSegment)> {
-        let d = self.dxt.lock();
+        let m = self.modules.lock();
+        let d = &m.dxt;
         let mut out: Vec<(u64, DxtSegment)> = Vec::new();
         for f in &d.files {
             let lo = f.segs.partition_point(|s| s.end < from);
@@ -630,7 +656,8 @@ impl DarshanRuntime {
     /// snapshot lands in exactly one window. Empty when `start` is not
     /// before `stop`.
     pub fn dxt_between(&self, start: &Snapshot, stop: &Snapshot) -> Vec<(u64, DxtSegment)> {
-        let d = self.dxt.lock();
+        let m = self.modules.lock();
+        let d = &m.dxt;
         let mut slots = match d.log.get(start.dxt_pos..stop.dxt_pos) {
             Some(slots) => slots.to_vec(),
             None => return Vec::new(),
@@ -651,7 +678,7 @@ impl DarshanRuntime {
 
     /// True if DXT hit its memory cap and dropped segments.
     pub fn dxt_truncated(&self) -> bool {
-        self.dxt.lock().truncated
+        self.modules.lock().dxt.truncated
     }
 
     // -- extraction / shutdown ----------------------------------------------
@@ -697,7 +724,7 @@ impl DarshanRuntime {
         // buffers before they are copied. Other threads' buffers drained
         // when those threads descheduled.
         probe::flush_current_thread();
-        // Extraction copies records under the module locks: charge for
+        // Extraction copies records under the module lock: charge for
         // exactly those copies while instrumented I/O stalls at the gate.
         let copies = if full {
             self.posix_record_count() + self.stdio_record_count()
@@ -710,28 +737,28 @@ impl DarshanRuntime {
             self.gate.open();
         }
         let taken_at = self.rel(simrt::now());
-        // One acquisition per module lock: the records and the partial
-        // flag are read under the same guard (the seed re-locked for the
-        // flag, racing a concurrent record-cap overflow).
+        // One acquisition of the module lock: records, partial flags and
+        // DXT marks are read under the same guard.
         let mut bl = self.baseline.lock();
-        let (mut pm, mut sm) = (self.posix.lock(), self.stdio.lock());
+        let mut guard = self.modules.lock();
+        let m = &mut *guard;
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
         let ((posix, posix_partial), (stdio, stdio_partial)) = if full {
-            (pm.copy_all(), sm.copy_all())
+            (m.posix.copy_all(), m.stdio.copy_all())
         } else {
             (
-                pm.merge_into(&mut bl.posix, epoch),
-                sm.merge_into(&mut bl.stdio, epoch),
+                m.posix.merge_into(&mut bl.posix, epoch),
+                m.stdio.merge_into(&mut bl.stdio, epoch),
             )
         };
-        drop((pm, sm));
-        let (dxt_segments, dxt_truncated, dxt_pos) = self.capture_dxt_marks(epoch, !full);
+        let (dxt_segments, dxt_truncated, dxt_pos) = m.dxt.capture_marks(epoch, !full);
+        drop(guard);
         Snapshot {
             taken_at,
             epoch,
             posix,
             stdio,
-            names: self.names.lock().clone(),
+            names: Names::view(&self.names),
             posix_partial,
             stdio_partial,
             dxt_segments,
@@ -740,78 +767,57 @@ impl DarshanRuntime {
         }
     }
 
-    /// Mark, at `epoch`, every file appended-to since the last
-    /// incremental capture that grew past its last mark, and log it. An
-    /// incremental capture (`drain`) then empties the dirty list; a full
-    /// one leaves it, so the next incremental capture still sees those
-    /// files (and marks only the ones that grew again). Returns the
-    /// segment total, the truncated flag and the log position.
-    fn capture_dxt_marks(&self, epoch: u64, drain: bool) -> (usize, bool, usize) {
-        let mut d = self.dxt.lock();
-        let DxtBuf {
-            files,
-            dirty,
-            log,
-            drained_epoch,
-            ..
-        } = &mut *d;
-        for &slot in dirty.iter() {
-            let f = &mut files[slot as usize];
-            let len = f.segs.len();
-            if f.marks.last().map_or(0, |m| m.1) < len {
-                f.marks.push((epoch, len));
-                log.push(slot);
-            }
-        }
-        if drain {
-            dirty.clear();
-            *drained_epoch = epoch;
-        }
-        (d.total, d.truncated, d.log.len())
-    }
-
     /// Number of POSIX records currently held.
     pub fn posix_record_count(&self) -> usize {
-        self.posix.lock().records.len()
+        self.modules.lock().posix.records.len()
     }
 
     /// Number of STDIO records currently held.
     pub fn stdio_record_count(&self) -> usize {
-        self.stdio.lock().records.len()
+        self.modules.lock().stdio.records.len()
     }
 
     /// Number of records dirtied since the last incremental extraction
     /// (what the next [`DarshanRuntime::snapshot`] will pay for).
     pub fn dirty_record_count(&self) -> usize {
-        self.posix.lock().dirty.len() + self.stdio.lock().dirty.len()
+        let m = self.modules.lock();
+        m.posix.dirty.len() + m.stdio.dirty.len()
     }
 }
 
 impl<M: Module> ModuleBuf<M> {
-    /// The slot of `path`'s record, creating the record (stamped dirty,
-    /// its name registered) on first sight; `None` with the partial flag
-    /// set once the module is out of record memory. Pure bookkeeping: the
-    /// new-record *time* cost is charged by the wrapper at the emission
-    /// site (this runs inside event folds, which must not sleep).
+    /// The slot of `path`'s record in this module (module `m` of the name
+    /// table), creating the record (stamped dirty, its name registered)
+    /// on first sight; `None` with the partial flag set once the module is
+    /// out of record memory. One probe of the name table finds or places
+    /// both. Pure bookkeeping: the new-record *time* cost is charged by the
+    /// wrapper at the emission site (this runs inside event folds, which
+    /// must not sleep).
     fn ensure(
         &mut self,
         rt: &DarshanRuntime,
+        m: usize,
         epoch: u64,
         path: impl AsRef<str> + Into<Arc<str>>,
     ) -> Option<u32> {
         let id = record_id(path.as_ref());
-        let Entry::Vacant(vacant) = self.index.entry(id) else {
-            return self.slot_of(id);
+        let new_slot = || {
+            if self.records.len() >= rt.config.max_records_per_module {
+                self.partial = true;
+                return None;
+            }
+            let slot = u32::try_from(self.records.len()).expect("module slots fit in u32");
+            self.records.push(Record::new(id));
+            Some(slot)
         };
-        if self.records.len() >= rt.config.max_records_per_module {
-            self.partial = true;
-            return None;
+        let placed = rt
+            .names
+            .write()
+            .slot_or_insert(id, m, || path.into(), new_slot);
+        let (slot, created) = placed?;
+        if created {
+            self.touch(slot, epoch);
         }
-        rt.names.lock().register(id, || path.into());
-        let slot = self.records.len() as u32;
-        vacant.insert(slot);
-        self.records.push(Record::new(id));
-        self.touch(slot, epoch);
         Some(slot)
     }
 }
@@ -822,24 +828,22 @@ impl<M: Module> ModuleBuf<M> {
 /// aggregates accumulate here and publish when the guard drops.
 pub(crate) struct Bufs<'a> {
     rt: &'a DarshanRuntime,
-    /// The extraction epoch; it cannot advance while the module locks are
+    /// The extraction epoch; it cannot advance while the module lock is
     /// held.
     epoch: u64,
-    posix: MutexGuard<'a, ModuleBuf<Posix>>,
-    stdio: MutexGuard<'a, ModuleBuf<Stdio>>,
-    dxt: MutexGuard<'a, DxtBuf>,
+    m: MutexGuard<'a, Modules>,
     totals: Totals,
 }
 
 impl Bufs<'_> {
     /// The POSIX slot of `path`, creating its record if needed.
     pub(crate) fn posix_slot(&mut self, path: impl AsRef<str> + Into<Arc<str>>) -> Option<u32> {
-        self.posix.ensure(self.rt, self.epoch, path)
+        self.m.posix.ensure(self.rt, POSIX, self.epoch, path)
     }
 
     /// The STDIO slot of `path`, creating its record if needed.
     pub(crate) fn stdio_slot(&mut self, path: impl AsRef<str> + Into<Arc<str>>) -> Option<u32> {
-        self.stdio.ensure(self.rt, self.epoch, path)
+        self.m.stdio.ensure(self.rt, STDIO, self.epoch, path)
     }
 
     /// Count one POSIX `open` (whether or not a record could be held).
@@ -848,16 +852,16 @@ impl Bufs<'_> {
     }
 
     pub(crate) fn posix_opened(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
-        self.rt.opened(self.posix.touch(slot, self.epoch), t0, t1);
+        self.rt.opened(self.m.posix.touch(slot, self.epoch), t0, t1);
     }
 
     pub(crate) fn posix_closed(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
-        self.rt.closed(self.posix.touch(slot, self.epoch), t0, t1);
+        self.rt.closed(self.m.posix.touch(slot, self.epoch), t0, t1);
     }
 
     pub(crate) fn posix_meta(&mut self, slot: u32, counter: P, t0: SimTime, t1: SimTime) {
         self.rt
-            .meta(self.posix.touch(slot, self.epoch), counter, t0, t1);
+            .meta(self.m.posix.touch(slot, self.epoch), counter, t0, t1);
     }
 
     fn count_io(&mut self, op: DxtOp, len: u64) {
@@ -868,21 +872,6 @@ impl Bufs<'_> {
         } else {
             t.posix_reads += 1;
             t.posix_bytes_read += len;
-        }
-    }
-
-    fn posix_io_by_id(
-        &mut self,
-        rec_id: u64,
-        op: DxtOp,
-        offset: u64,
-        len: u64,
-        t0: SimTime,
-        t1: SimTime,
-    ) {
-        match self.posix.slot_of(rec_id) {
-            Some(slot) => self.posix_io(slot, op, offset, len, t0, t1),
-            None => self.count_io(op, len),
         }
     }
 
@@ -901,7 +890,7 @@ impl Bufs<'_> {
         self.count_io(op, len);
         let (write, w) = (op == DxtOp::Write, (op == DxtOp::Write) as usize);
         let (s, e) = (self.rt.rel(t0), self.rt.rel(t1));
-        let r = self.posix.touch(slot, self.epoch);
+        let r = self.m.posix.touch(slot, self.epoch);
         *r.get_mut([P::POSIX_READS, P::POSIX_WRITES][w]) += 1;
         *r.get_mut([P::POSIX_BYTES_READ, P::POSIX_BYTES_WRITTEN][w]) += len as i64;
         let hist = [P::POSIX_SIZE_READ_0_100, P::POSIX_SIZE_WRITE_0_100][w];
@@ -943,7 +932,7 @@ impl Bufs<'_> {
         if !config.dxt_enabled {
             return;
         }
-        let d = &mut *self.dxt;
+        let d = &mut self.m.dxt;
         if d.total >= config.dxt_max_segments {
             d.truncated = true;
             return;
@@ -977,16 +966,16 @@ impl Bufs<'_> {
     }
 
     pub(crate) fn stdio_opened(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
-        self.rt.opened(self.stdio.touch(slot, self.epoch), t0, t1);
+        self.rt.opened(self.m.stdio.touch(slot, self.epoch), t0, t1);
     }
 
     pub(crate) fn stdio_closed(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
-        self.rt.closed(self.stdio.touch(slot, self.epoch), t0, t1);
+        self.rt.closed(self.m.stdio.touch(slot, self.epoch), t0, t1);
     }
 
     pub(crate) fn stdio_meta(&mut self, slot: u32, counter: S, t0: SimTime, t1: SimTime) {
         self.rt
-            .meta(self.stdio.touch(slot, self.epoch), counter, t0, t1);
+            .meta(self.m.stdio.touch(slot, self.epoch), counter, t0, t1);
     }
 
     pub(crate) fn stdio_io(
@@ -1000,7 +989,7 @@ impl Bufs<'_> {
     ) {
         let w = write as usize;
         let dt = self.rt.rel(t1) - self.rt.rel(t0);
-        let r = self.stdio.touch(slot, self.epoch);
+        let r = self.m.stdio.touch(slot, self.epoch);
         *r.get_mut([S::STDIO_READS, S::STDIO_WRITES][w]) += 1;
         *r.get_mut([S::STDIO_BYTES_READ, S::STDIO_BYTES_WRITTEN][w]) += len as i64;
         let max_byte = [S::STDIO_MAX_BYTE_READ, S::STDIO_MAX_BYTE_WRITTEN][w];

@@ -12,7 +12,7 @@
 //!
 //! The fold keeps the same descriptor bookkeeping the wrappers kept:
 //!
-//! * `fd → record` is seeded by observed `open`s and recovered lazily for
+//! * `fd → record slot` is seeded by observed `open`s and recovered lazily for
 //!   descriptors opened before attachment (the runtime-attachment gap);
 //! * `close` on an unknown descriptor records nothing (as before);
 //! * any non-application origin is skipped entirely: stdio-internal POSIX
@@ -30,7 +30,7 @@
 //! # Cost per event
 //!
 //! A delivered batch takes the sink's memo lock and the runtime's module
-//! and DXT locks once ([`DarshanRuntime::bufs`]), not once per event. The
+//! lock once (`DarshanRuntime::bufs`), not once per event. The
 //! memos map interned paths, descriptors, streams and mappings to record
 //! *slots* in integer-keyed maps, so a read, write, seek or close on a
 //! known file is a memo lookup plus indexed writes into its record and
