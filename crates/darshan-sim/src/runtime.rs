@@ -514,7 +514,7 @@ impl DarshanRuntime {
     /// is out of record memory (the caller still forwards the call).
     pub fn posix_open(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
         let mut b = self.bufs();
-        b.totals.posix_opens += 1;
+        b.count_open();
         let slot = b.posix_slot(path)?;
         b.posix_opened(slot, t0, t1);
         Some(b.m.posix.records[slot as usize].rec_id)

@@ -126,8 +126,8 @@ fn run_trace(n: usize, mixed: bool) -> (String, String, f64) {
 }
 
 /// Render a Darshan snapshot deterministically: the record vectors are
-/// sorted by record id already, but `names` is a `HashMap` whose Debug
-/// iteration order varies run to run — sort it.
+/// sorted by record id already; `names` iterate in registration order,
+/// so sort them by id too.
 fn canon(s: &tf_darshan::darshan::Snapshot) -> String {
     let names: std::collections::BTreeMap<_, _> = s.names.iter().collect();
     format!(
