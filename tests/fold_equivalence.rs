@@ -32,7 +32,7 @@ const PATHS: [&str; 7] = [
     "/d/train/c",
     "/d/val/x",
     "/ckpt/model.h5",
-    "/tmp/scratch",
+    "/tmp/spool.bin",
     "/lustre/imagenet/n01440764/img.JPEG",
 ];
 
