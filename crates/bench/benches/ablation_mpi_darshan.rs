@@ -2,14 +2,17 @@
 //! forward-compatibility claim): four ranks train data-parallel over a
 //! shared Lustre filesystem, gradients synchronize with allreduce, and the
 //! final checkpoint is one `MPI_File_write_at_all`. Each rank carries its
-//! own Darshan POSIX instrumentation; a PMPI wrapper provides the MPI-IO
-//! module; at "MPI_Finalize" the per-rank records reduce into a single
-//! job-level view — shared files merge, rank-private shards stay separate.
+//! own Darshan runtime; its MPI-IO module is fed by the MPI library's probe
+//! events on the rank's spine, its POSIX module by the descriptor I/O
+//! beneath. At "MPI_Finalize" each module's per-rank records reduce into a
+//! single job-level view — shared files merge, rank-private shards stay
+//! separate. Exits 1 if any row deviates.
 
 use std::sync::Arc;
 
-use darshan_sim::{reduce_job, DarshanConfig, DarshanLibrary, PosixCounter as P};
-use mpi_sim::{DarshanMpiio, DefaultMpiIo, MpiIoLayer, MpiWorld, NetworkModel};
+use darshan_sim::{reduce_job, DarshanConfig, DarshanLibrary, MpiioCounter as MI};
+use darshan_sim::{PosixCounter as P, Snapshot};
+use mpi_sim::{MpiWorld, NetworkModel};
 use posix_sim::OpenFlags;
 use storage_sim::{FileSystem, LustreFs, LustreParams, PageCache, StorageStack};
 use workloads::models;
@@ -41,10 +44,7 @@ fn main() {
     }
 
     let world = MpiWorld::new(&stack, RANKS, NetworkModel::default());
-    // PMPI interposition for the MPI-IO module.
-    let mpiio = DarshanMpiio::new(Arc::new(DefaultMpiIo));
-    world.pmpi_interpose(mpiio.clone() as Arc<dyn MpiIoLayer>);
-    // Per-rank POSIX Darshan.
+    // Per-rank Darshan.
     let darshans: Vec<Arc<DarshanLibrary>> = (0..RANKS)
         .map(|_| DarshanLibrary::new(DarshanConfig::default()))
         .collect();
@@ -83,12 +83,13 @@ fn main() {
             .unwrap();
         comm.file_close(fh).unwrap();
 
-        // "MPI_Finalize": hand back this rank's POSIX records.
+        // "MPI_Finalize": hand back this rank's records.
         darshans2[rank].detach(&p).unwrap();
-        darshans2[rank].runtime().snapshot().posix
+        darshans2[rank].runtime().snapshot()
     });
     sim.run();
-    let per_rank_records: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    let snaps: Vec<Snapshot> = handles.into_iter().map(|h| h.join()).collect();
+    let per_rank_records: Vec<_> = snaps.iter().map(|s| s.posix.clone()).collect();
 
     // -- per-rank POSIX views ------------------------------------------------
     println!("\nper-rank POSIX module (own shard + shared checkpoint):");
@@ -110,19 +111,19 @@ fn main() {
         "\njob-level POSIX view after reduction: {} records",
         job.len()
     );
-    bench::row(
+    let mut ok = bench::row(
         "job file records (shards private + 1 shared ckpt)",
         &format!("{}", RANKS * per_rank + 1),
         &job.len().to_string(),
         job.len() == RANKS * per_rank + 1,
     );
-    bench::row(
+    ok &= bench::row(
         "job POSIX opens (1024 shard + 4 ckpt)",
         &format!("{}", RANKS * per_rank + RANKS),
         &total_opens.to_string(),
         total_opens as usize == RANKS * per_rank + RANKS,
     );
-    bench::row(
+    ok &= bench::row(
         "job POSIX reads (2 per small file)",
         &format!("{}", 2 * RANKS * per_rank),
         &total_reads.to_string(),
@@ -130,35 +131,47 @@ fn main() {
     );
 
     // -- MPI-IO module -----------------------------------------------------------
-    let mpi_job = mpiio.reduce_job();
+    let mpi_job: Vec<(Arc<str>, i64, i64, i64)> =
+        reduce_job(&snaps.iter().map(|s| s.mpiio.clone()).collect::<Vec<_>>())
+            .iter()
+            .map(|r| {
+                let path = snaps.iter().find_map(|s| s.names.get(r.rec_id)).unwrap();
+                let (opens, writes) = (MI::MPIIO_COLL_OPENS, MI::MPIIO_COLL_WRITES);
+                (
+                    path,
+                    r.get(opens),
+                    r.get(writes),
+                    r.get(MI::MPIIO_BYTES_WRITTEN),
+                )
+            })
+            .collect();
     println!("\nMPI-IO module (job view):");
-    for (path, rec) in &mpi_job {
+    for (path, opens, writes, written) in &mpi_job {
         println!(
-            "  {path}: coll_opens {} coll_writes {} bytes_written {:.1} MiB",
-            rec.coll_opens,
-            rec.coll_writes,
-            rec.bytes_written as f64 / (1024.0 * 1024.0)
+            "  {path}: coll_opens {opens} coll_writes {writes} bytes_written {:.1} MiB",
+            *written as f64 / (1024.0 * 1024.0)
         );
     }
-    let ck = &mpi_job[0].1;
-    bench::row(
+    let (_, ck_opens, ck_writes, ck_bytes) = mpi_job[0].clone();
+    let ranks = RANKS as i64;
+    ok &= bench::row(
         "MPIIO collective opens / writes on the checkpoint",
         &format!("{RANKS} / {RANKS}"),
-        &format!("{} / {}", ck.coll_opens, ck.coll_writes),
-        ck.coll_opens == RANKS as u64 && ck.coll_writes == RANKS as u64,
+        &format!("{ck_opens} / {ck_writes}"),
+        ck_opens == ranks && ck_writes == ranks,
     );
-    bench::row(
+    ok &= bench::row(
         "checkpoint bytes via MPI-IO (≈ AlexNet 244 MB)",
         "~244 MB",
-        &format!("{:.1} MB", ck.bytes_written as f64 / 1e6),
-        (220e6..260e6).contains(&(ck.bytes_written as f64)),
+        &format!("{:.1} MB", ck_bytes as f64 / 1e6),
+        (220e6..260e6).contains(&(ck_bytes as f64)),
     );
     // The same traffic is visible on the POSIX layer underneath (ROMIO).
     let ckpt_posix = job
         .iter()
         .find(|r| r.rec_id == darshan_sim::record_id("/scratch/ckpt/model-final"))
         .unwrap();
-    bench::row(
+    ok &= bench::row(
         "the same checkpoint on the POSIX layer underneath",
         "4 writes",
         &ckpt_posix.get(P::POSIX_WRITES).to_string(),
@@ -174,10 +187,12 @@ fn main() {
             "job_records": job.len(),
             "job_opens": total_opens,
             "job_reads": total_reads,
-            "mpiio": mpi_job.iter().map(|(p, r)| serde_json::json!({
-                "path": p, "coll_opens": r.coll_opens, "coll_writes": r.coll_writes,
-                "bytes_written": r.bytes_written,
+            "mpiio": mpi_job.iter().map(|(p, o, w, b)| serde_json::json!({
+                "path": &**p, "coll_opens": o, "coll_writes": w, "bytes_written": b,
             })).collect::<Vec<_>>(),
         }),
     );
+    if !ok {
+        std::process::exit(1);
+    }
 }

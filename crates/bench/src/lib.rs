@@ -26,8 +26,9 @@ pub fn header(id: &str, title: &str) {
     println!("================================================================");
 }
 
-/// One paper-vs-measured comparison row.
-pub fn row(metric: &str, paper: &str, measured: &str, ok: bool) {
+/// One paper-vs-measured comparison row; returns `ok`, so a bench that
+/// gates on its rows can collect them.
+pub fn row(metric: &str, paper: &str, measured: &str, ok: bool) -> bool {
     println!(
         "{:<44} paper: {:>14}   measured: {:>14}   [{}]",
         metric,
@@ -35,6 +36,7 @@ pub fn row(metric: &str, paper: &str, measured: &str, ok: bool) {
         measured,
         if ok { "ok" } else { "DEVIATES" }
     );
+    ok
 }
 
 /// Render a numeric series as a compact ASCII plot (one line per bucket).

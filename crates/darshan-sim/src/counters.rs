@@ -3,15 +3,17 @@
 //! Mirrors the layout of real Darshan 3.2 module records: each instrumented
 //! file gets one [`Record<M>`] holding a fixed array of integer counters and
 //! a fixed array of floating-point (timestamp/duration) counters, where the
-//! [`Module`] impls [`Posix`] and [`Stdio`] say what differs. Counter
-//! names and semantics follow `darshan-posix-log-format.h` /
-//! `darshan-stdio-log-format.h` (trimmed to the set the paper's analyses
-//! use: operation counts, byte counts, access-size histogram, sequential/
-//! consecutive pattern counters, common access sizes, and timing).
+//! [`Module`] impls [`Posix`], [`Stdio`] and [`Mpiio`] say what differs.
+//! Counter names and semantics follow `darshan-posix-log-format.h`,
+//! `darshan-stdio-log-format.h` and `darshan-mpiio-log-format.h` (trimmed
+//! to the set the paper's analyses use: operation counts, byte counts,
+//! access-size histogram, sequential/consecutive pattern counters, common
+//! access sizes, and timing).
 
 use std::fmt::Debug;
 
-use self::{PosixCounter as P, PosixFCounter as PF, StdioCounter as S, StdioFCounter as SF};
+use self::{MpiioFCounter as MF, PosixCounter as P, PosixFCounter as PF};
+use self::{StdioCounter as S, StdioFCounter as SF};
 
 /// Generates a counter enum with a stable index and name table.
 macro_rules! counters {
@@ -144,6 +146,33 @@ counters! {
     }
 }
 
+counters! {
+    /// Integer counters of the MPI-IO module.
+    pub enum MpiioCounter {
+        MPIIO_INDEP_OPENS,
+        MPIIO_COLL_OPENS,
+        MPIIO_INDEP_READS,
+        MPIIO_INDEP_WRITES,
+        MPIIO_COLL_READS,
+        MPIIO_COLL_WRITES,
+        MPIIO_BYTES_READ,
+        MPIIO_BYTES_WRITTEN,
+    }
+}
+
+counters! {
+    /// Floating-point counters of the MPI-IO module.
+    pub enum MpiioFCounter {
+        MPIIO_F_OPEN_START_TIMESTAMP,
+        MPIIO_F_OPEN_END_TIMESTAMP,
+        MPIIO_F_CLOSE_START_TIMESTAMP,
+        MPIIO_F_CLOSE_END_TIMESTAMP,
+        MPIIO_F_READ_TIME,
+        MPIIO_F_WRITE_TIME,
+        MPIIO_F_META_TIME,
+    }
+}
+
 /// Buckets of the Darshan access-size histogram, shared by read and write.
 /// Returns the bucket index 0..10 for a transfer of `size` bytes.
 pub fn size_bucket(size: u64) -> usize {
@@ -268,9 +297,9 @@ pub struct PosixExt {
     pub last_was_write: Option<bool>,
 }
 
-/// A Darshan module: what differs between POSIX and STDIO. The record,
-/// the mutators, the fold, the diff and the log codec are written once
-/// over [`Record<M>`].
+/// A Darshan module: what differs between POSIX, STDIO and MPI-IO. The
+/// record, the mutators, the fold, the diff and the log codec are written
+/// once over [`Record<M>`].
 pub trait Module: Clone + Debug + Send + Sync + 'static {
     /// Integer counter enum.
     type Counter: Counter;
@@ -284,8 +313,6 @@ pub trait Module: Clone + Debug + Send + Sync + 'static {
     type Ext: Clone + Debug + Default + Send + Sync;
     /// Prefix of the module's lines in `darshan-parser` text.
     const NAME: &'static str;
-    /// The open counter.
-    const OPENS: Self::Counter;
     /// Integer counters that combine by `max` instead of `+`.
     const MAX: &'static [Self::Counter];
     /// Float counters that combine by `max` (op-time extrema).
@@ -343,7 +370,6 @@ impl Module for Posix {
     type FCounters = [f64; PF::COUNT];
     type Ext = PosixExt;
     const NAME: &'static str = "POSIX";
-    const OPENS: P = P::POSIX_OPENS;
     const MAX: &'static [P] = &[P::POSIX_MAX_BYTE_READ, P::POSIX_MAX_BYTE_WRITTEN];
     const FMAX: &'static [PF] = &[PF::POSIX_F_MAX_READ_TIME, PF::POSIX_F_MAX_WRITE_TIME];
     const STAMPS: &'static [(PF, PF)] = {
@@ -382,7 +408,6 @@ impl Module for Stdio {
     type FCounters = [f64; SF::COUNT];
     type Ext = ();
     const NAME: &'static str = "STDIO";
-    const OPENS: S = S::STDIO_OPENS;
     const MAX: &'static [S] = &[S::STDIO_MAX_BYTE_READ, S::STDIO_MAX_BYTE_WRITTEN];
     const FMAX: &'static [SF] = &[];
     const STAMPS: &'static [(SF, SF)] = {
@@ -395,6 +420,33 @@ impl Module for Stdio {
     const TIMES: [SF; 3] = {
         use SF::*;
         [STDIO_F_READ_TIME, STDIO_F_WRITE_TIME, STDIO_F_META_TIME]
+    };
+}
+
+/// The MPI-IO module: one record per file a rank opened through MPI-IO.
+/// The POSIX records of the same files count the descriptor I/O beneath.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Mpiio;
+
+impl Module for Mpiio {
+    type Counter = MpiioCounter;
+    type FCounter = MF;
+    type Counters = [i64; MpiioCounter::COUNT];
+    type FCounters = [f64; MF::COUNT];
+    type Ext = ();
+    const NAME: &'static str = "MPIIO";
+    const MAX: &'static [MpiioCounter] = &[];
+    const FMAX: &'static [MF] = &[];
+    const STAMPS: &'static [(MF, MF)] = {
+        use MF::*;
+        &[
+            (MPIIO_F_OPEN_START_TIMESTAMP, MPIIO_F_OPEN_END_TIMESTAMP),
+            (MPIIO_F_CLOSE_START_TIMESTAMP, MPIIO_F_CLOSE_END_TIMESTAMP),
+        ]
+    };
+    const TIMES: [MF; 3] = {
+        use MF::*;
+        [MPIIO_F_READ_TIME, MPIIO_F_WRITE_TIME, MPIIO_F_META_TIME]
     };
 }
 

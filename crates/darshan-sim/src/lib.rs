@@ -4,8 +4,9 @@
 //! non-MPI experimental version the paper builds on) that tf-Darshan
 //! needs:
 //!
-//! * per-file POSIX and STDIO module records with Darshan's counter set
-//!   ([`counters`]) and bounded record memory;
+//! * per-file POSIX, STDIO and MPI-IO module records with Darshan's
+//!   counter set ([`counters`]) and bounded record memory, folded from the
+//!   probe spine's events ([`sink`]);
 //! * DXT extended tracing (per-operation segments);
 //! * instrumented symbol implementations that wrap the previous GOT
 //!   bindings ([`wrappers`]);
@@ -37,8 +38,9 @@ use parking_lot::Mutex;
 use posix_sim::{GotError, Process};
 
 pub use counters::{
-    record_id, size_bucket, CommonValues, Module, Posix, PosixCounter, PosixFCounter, PosixRecord,
-    Record, Stdio, StdioCounter, StdioFCounter, StdioRecord, SIZE_BUCKET_LABELS,
+    record_id, size_bucket, CommonValues, Module, Mpiio, MpiioCounter, MpiioFCounter, Posix,
+    PosixCounter, PosixFCounter, PosixRecord, Record, Stdio, StdioCounter, StdioFCounter,
+    StdioRecord, SIZE_BUCKET_LABELS,
 };
 pub use log::{DarshanLog, LogError};
 pub use names::Names;
@@ -106,7 +108,10 @@ impl DarshanLibrary {
     }
 
     /// Patch the process GOT so the instrumented symbols dispatch through
-    /// Darshan. Idempotent: a second attach is a no-op.
+    /// Darshan, and fold the process's events into the POSIX, STDIO and
+    /// MPI-IO modules (an MPI rank's MPI-IO library emits its calls on the
+    /// same spine, so no PMPI layer is needed). Idempotent: a second
+    /// attach is a no-op.
     pub fn attach(&self, process: &Process) -> Result<(), GotError> {
         let mut guard = self.attach.lock();
         if guard.is_some() {

@@ -24,6 +24,7 @@ use crate::idmap::IdMap;
 /// Module indices into [`Ids::slots`].
 pub(crate) const POSIX: usize = 0;
 pub(crate) const STDIO: usize = 1;
+pub(crate) const MPIIO: usize = 2;
 const NO_SLOT: u32 = u32::MAX;
 
 /// Where a record id's data lives.
@@ -32,7 +33,7 @@ struct Ids {
     /// Position of the name in [`Table::entries`].
     name: u32,
     /// Slot of the id's record in each module ([`NO_SLOT`] if none).
-    slots: [u32; 2],
+    slots: [u32; 3],
 }
 
 /// A runtime's record-id registry.
@@ -73,7 +74,7 @@ impl Table {
             }
             Entry::Vacant(v) => {
                 let slot = new_slot()?;
-                let mut slots = [NO_SLOT; 2];
+                let mut slots = [NO_SLOT; 3];
                 slots[m] = slot;
                 let name_pos = u32::try_from(entries.len()).expect("name table overflow");
                 entries.push((rec_id, name()));
@@ -93,7 +94,7 @@ impl Table {
             self.entries.push((rec_id, name()));
             v.insert(Ids {
                 name: pos,
-                slots: [NO_SLOT; 2],
+                slots: [NO_SLOT; 3],
             });
         }
     }
@@ -243,5 +244,10 @@ mod tests {
         assert_eq!(t.slot(9, POSIX), None);
         assert_eq!(at(9, POSIX, &mut t, &mut || Some(5)), Some((5, true)));
         assert_eq!(t.name(9, 3).map(|p| &**p), Some("/n"));
+    }
+
+    #[test]
+    fn an_index_entry_holds_every_module_slot_in_24_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, Ids)>(), 24);
     }
 }

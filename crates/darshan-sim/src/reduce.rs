@@ -26,9 +26,10 @@
 //! (proptested against a flat reference model in
 //! `tests/proptests_extensions.rs`).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use crate::counters::{Counter, Module, PosixRecord, Record};
+use crate::counters::{Counter, Module, Record};
 
 /// The order-sensitive slice of one contributor: its common-access slots
 /// (replayed into the tracker in rank order at the root; zero for modules
@@ -173,8 +174,8 @@ pub fn fold_group<M: Module>(groups: &mut BTreeMap<u64, Fold<M>>, id: u64, right
 /// id: a rank-ordered left fold of [`Fold`] per record id, so records of
 /// files touched by several ranks merge and rank-private files pass
 /// through unchanged. Generic over owned records and the `Arc`-shared
-/// records that incremental snapshots hand out.
-pub fn reduce_job<R: std::borrow::Borrow<PosixRecord>>(per_rank: &[Vec<R>]) -> Vec<PosixRecord> {
+/// records that incremental snapshots hand out, and over every module.
+pub fn reduce_job<M: Module, R: Borrow<Record<M>>>(per_rank: &[Vec<R>]) -> Vec<Record<M>> {
     let mut groups = BTreeMap::new();
     for r in per_rank.iter().flatten() {
         let r = r.borrow();
@@ -186,7 +187,7 @@ pub fn reduce_job<R: std::borrow::Borrow<PosixRecord>>(per_rank: &[Vec<R>]) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{PosixCounter as P, PosixFCounter as PF, StdioRecord};
+    use crate::counters::{PosixCounter as P, PosixFCounter as PF, PosixRecord, StdioRecord};
     use crate::counters::{StdioCounter as S, StdioFCounter as SF};
 
     fn rec(id: u64, reads: i64, bytes: i64, max_byte: i64, t0: f64, t1: f64) -> PosixRecord {

@@ -3,9 +3,10 @@
 //!
 //! Mirrors darshan-runtime's shape: a core that owns *name records*
 //! (record-id → path) and per-module record buffers with bounded memory,
-//! one `ModuleBuf<M>` per [`Module`] whose record creation, open, reopen,
-//! close and meta mutators and extraction copies are written once (only
-//! POSIX's read/write pattern tracking and DXT push are its own);
+//! one `ModuleBuf<M>` per [`Module`] (POSIX, STDIO, MPI-IO) whose record
+//! creation, open, close and meta mutators and extraction copies are
+//! written once (each module's read/write mutator and POSIX's DXT push are
+//! its own);
 //! modules update counters inline on every instrumented call; statistics
 //! reduction (e.g. folding the common-access-size tracker into the
 //! `ACCESS1..4` counters) happens at shutdown — or, new here, whenever a
@@ -46,10 +47,10 @@ use parking_lot::{Mutex, MutexGuard};
 use simrt::{sleep, SimTime, TaskId};
 
 use crate::counters::{
-    record_id, size_bucket, Module, Posix, PosixCounter as P, PosixRecord, Record, Stdio,
-    StdioCounter as S, StdioRecord,
+    record_id, size_bucket, Module, Mpiio, MpiioCounter as MI, Posix, PosixCounter as P,
+    PosixRecord, Record, Stdio, StdioCounter as S, StdioRecord,
 };
-use crate::names::{Names, SharedTable, POSIX, STDIO};
+use crate::names::{Names, SharedTable, MPIIO, POSIX, STDIO};
 
 /// Configuration of the Darshan runtime (environment variables in real
 /// Darshan: `DARSHAN_MODMEM`, `DXT_ENABLE_IO_TRACE`, ...).
@@ -127,7 +128,7 @@ pub struct DxtSegment {
 /// a slot names its record for the runtime's lifetime and the event fold
 /// can memoize it.
 #[derive(Default)]
-struct ModuleBuf<M: Module> {
+pub(crate) struct ModuleBuf<M: Module> {
     records: Vec<Record<M>>,
     partial: bool,
     /// Slots dirtied since the last incremental extraction. Each slot
@@ -200,6 +201,7 @@ fn max_offset(cur: &mut i64, offset: u64, len: u64) {
 struct Baseline {
     posix: Vec<Arc<PosixRecord>>,
     stdio: Vec<Arc<StdioRecord>>,
+    mpiio: Vec<Arc<Record<Mpiio>>>,
 }
 
 /// Per-file DXT segment list, at its file's POSIX slot.
@@ -281,10 +283,41 @@ impl DxtBuf {
 
 /// Everything the event fold mutates, under one lock.
 #[derive(Default)]
-struct Modules {
+pub(crate) struct Modules {
     posix: ModuleBuf<Posix>,
     stdio: ModuleBuf<Stdio>,
+    mpiio: ModuleBuf<Mpiio>,
     dxt: DxtBuf,
+}
+
+/// A module the runtime holds: its slot index in the name table and its
+/// buffer.
+pub(crate) trait Held: Module {
+    /// Index of this module's slots in the name table.
+    const IDX: usize;
+    /// This module's buffer.
+    fn buf(m: &mut Modules) -> &mut ModuleBuf<Self>;
+}
+
+impl Held for Posix {
+    const IDX: usize = POSIX;
+    fn buf(m: &mut Modules) -> &mut ModuleBuf<Self> {
+        &mut m.posix
+    }
+}
+
+impl Held for Stdio {
+    const IDX: usize = STDIO;
+    fn buf(m: &mut Modules) -> &mut ModuleBuf<Self> {
+        &mut m.stdio
+    }
+}
+
+impl Held for Mpiio {
+    const IDX: usize = MPIIO;
+    fn buf(m: &mut Modules) -> &mut ModuleBuf<Self> {
+        &mut m.mpiio
+    }
 }
 
 /// While a snapshot copies the module buffers it holds the module lock;
@@ -341,6 +374,8 @@ pub struct Snapshot {
     pub posix: Vec<Arc<PosixRecord>>,
     /// STDIO records, sorted by record id.
     pub stdio: Vec<Arc<StdioRecord>>,
+    /// MPI-IO records, sorted by record id.
+    pub mpiio: Vec<Arc<Record<Mpiio>>>,
     /// Record-id → path names registered by extraction time (a view of
     /// the runtime's append-only table; see [`Names`]).
     pub names: Names,
@@ -348,6 +383,8 @@ pub struct Snapshot {
     pub posix_partial: bool,
     /// True if the STDIO module ran out of record memory.
     pub stdio_partial: bool,
+    /// True if the MPI-IO module ran out of record memory.
+    pub mpiio_partial: bool,
     /// Total DXT segments recorded so far.
     pub dxt_segments: usize,
     /// True if DXT had hit `dxt_max_segments` and dropped segments by the
@@ -490,24 +527,6 @@ impl DarshanRuntime {
         self.names.read().slot(rec_id, m)
     }
 
-    fn opened<M: Module>(&self, r: &mut Record<M>, t0: SimTime, t1: SimTime) {
-        *r.get_mut(M::OPENS) += 1;
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        r.stamp(M::STAMPS[0], s, e);
-        *r.fget_mut(M::TIMES[2]) += e - s;
-    }
-
-    fn closed<M: Module>(&self, r: &mut Record<M>, t0: SimTime, t1: SimTime) {
-        let (s, e) = (self.rel(t0), self.rel(t1));
-        r.stamp(M::STAMPS[M::STAMPS.len() - 1], s, e);
-        *r.fget_mut(M::TIMES[2]) += e - s;
-    }
-
-    fn meta<M: Module>(&self, r: &mut Record<M>, counter: M::Counter, t0: SimTime, t1: SimTime) {
-        *r.get_mut(counter) += 1;
-        *r.fget_mut(M::TIMES[2]) += self.rel(t1) - self.rel(t0);
-    }
-
     // -- POSIX module -------------------------------------------------------
 
     /// Instrument an `open`. Returns the record id, or `None` if the module
@@ -515,8 +534,8 @@ impl DarshanRuntime {
     pub fn posix_open(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
         let mut b = self.bufs();
         b.count_open();
-        let slot = b.posix_slot(path)?;
-        b.posix_opened(slot, t0, t1);
+        let slot = b.slot::<Posix>(path)?;
+        b.opened::<Posix>(slot, P::POSIX_OPENS, t0, t1);
         Some(b.m.posix.records[slot as usize].rec_id)
     }
 
@@ -543,16 +562,8 @@ impl DarshanRuntime {
     pub fn posix_meta(&self, rec_id: u64, counter: P, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
         if let Some(slot) = self.slot(rec_id, POSIX) {
-            b.posix_meta(slot, counter, t0, t1);
+            b.meta::<Posix>(slot, counter, t0, t1);
         }
-    }
-
-    /// Register a record for a file whose `open` predates attachment
-    /// (OPENS stays 0; only subsequently observed operations count).
-    pub fn posix_register_existing(&self, path: &str) -> Option<u64> {
-        let mut b = self.bufs();
-        let slot = b.posix_slot(path)?;
-        Some(b.m.posix.records[slot as usize].rec_id)
     }
 
     /// Instrument a `stat` by path (creates the record if needed, like
@@ -560,8 +571,8 @@ impl DarshanRuntime {
     /// module is out of record memory.
     pub fn posix_stat_path(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
         let mut b = self.bufs();
-        let slot = b.posix_slot(path)?;
-        b.posix_meta(slot, P::POSIX_STATS, t0, t1);
+        let slot = b.slot::<Posix>(path)?;
+        b.meta::<Posix>(slot, P::POSIX_STATS, t0, t1);
         Some(b.m.posix.records[slot as usize].rec_id)
     }
 
@@ -569,7 +580,7 @@ impl DarshanRuntime {
     pub fn posix_close(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
         if let Some(slot) = self.slot(rec_id, POSIX) {
-            b.posix_closed(slot, t0, t1);
+            b.closed::<Posix>(slot, t0, t1);
         }
     }
 
@@ -578,17 +589,9 @@ impl DarshanRuntime {
     /// Instrument `fopen`.
     pub fn stdio_open(&self, path: &str, t0: SimTime, t1: SimTime) -> Option<u64> {
         let mut b = self.bufs();
-        let slot = b.stdio_slot(path)?;
-        b.stdio_opened(slot, t0, t1);
+        let slot = b.slot::<Stdio>(path)?;
+        b.opened::<Stdio>(slot, S::STDIO_OPENS, t0, t1);
         Some(b.m.stdio.records[slot as usize].rec_id)
-    }
-
-    /// Instrument `fread`.
-    pub fn stdio_read(&self, rec_id: u64, pos: u64, len: u64, t0: SimTime, t1: SimTime) {
-        let mut b = self.bufs();
-        if let Some(slot) = self.slot(rec_id, STDIO) {
-            b.stdio_io(slot, false, pos, len, t0, t1);
-        }
     }
 
     /// Instrument `fwrite`.
@@ -599,19 +602,11 @@ impl DarshanRuntime {
         }
     }
 
-    /// Instrument `fseek` / `fflush`.
-    pub fn stdio_meta(&self, rec_id: u64, counter: S, t0: SimTime, t1: SimTime) {
-        let mut b = self.bufs();
-        if let Some(slot) = self.slot(rec_id, STDIO) {
-            b.stdio_meta(slot, counter, t0, t1);
-        }
-    }
-
     /// Instrument `fclose`.
     pub fn stdio_close(&self, rec_id: u64, t0: SimTime, t1: SimTime) {
         let mut b = self.bufs();
         if let Some(slot) = self.slot(rec_id, STDIO) {
-            b.stdio_closed(slot, t0, t1);
+            b.closed::<Stdio>(slot, t0, t1);
         }
     }
 
@@ -727,7 +722,8 @@ impl DarshanRuntime {
         // Extraction copies records under the module lock: charge for
         // exactly those copies while instrumented I/O stalls at the gate.
         let copies = if full {
-            self.posix_record_count() + self.stdio_record_count()
+            let m = self.modules.lock();
+            m.posix.records.len() + m.stdio.records.len() + m.mpiio.records.len()
         } else {
             self.dirty_record_count()
         };
@@ -743,12 +739,13 @@ impl DarshanRuntime {
         let mut guard = self.modules.lock();
         let m = &mut *guard;
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-        let ((posix, posix_partial), (stdio, stdio_partial)) = if full {
-            (m.posix.copy_all(), m.stdio.copy_all())
+        let ((posix, posix_partial), (stdio, stdio_partial), (mpiio, mpiio_partial)) = if full {
+            (m.posix.copy_all(), m.stdio.copy_all(), m.mpiio.copy_all())
         } else {
             (
                 m.posix.merge_into(&mut bl.posix, epoch),
                 m.stdio.merge_into(&mut bl.stdio, epoch),
+                m.mpiio.merge_into(&mut bl.mpiio, epoch),
             )
         };
         let (dxt_segments, dxt_truncated, dxt_pos) = m.dxt.capture_marks(epoch, !full);
@@ -758,9 +755,11 @@ impl DarshanRuntime {
             epoch,
             posix,
             stdio,
+            mpiio,
             names: Names::view(&self.names),
             posix_partial,
             stdio_partial,
+            mpiio_partial,
             dxt_segments,
             dxt_truncated,
             dxt_pos,
@@ -772,31 +771,24 @@ impl DarshanRuntime {
         self.modules.lock().posix.records.len()
     }
 
-    /// Number of STDIO records currently held.
-    pub fn stdio_record_count(&self) -> usize {
-        self.modules.lock().stdio.records.len()
-    }
-
     /// Number of records dirtied since the last incremental extraction
     /// (what the next [`DarshanRuntime::snapshot`] will pay for).
     pub fn dirty_record_count(&self) -> usize {
         let m = self.modules.lock();
-        m.posix.dirty.len() + m.stdio.dirty.len()
+        m.posix.dirty.len() + m.stdio.dirty.len() + m.mpiio.dirty.len()
     }
 }
 
-impl<M: Module> ModuleBuf<M> {
-    /// The slot of `path`'s record in this module (module `m` of the name
-    /// table), creating the record (stamped dirty, its name registered)
-    /// on first sight; `None` with the partial flag set once the module is
-    /// out of record memory. One probe of the name table finds or places
+impl<M: Held> ModuleBuf<M> {
+    /// The slot of `path`'s record in this module, creating the record
+    /// (stamped dirty, its name registered) on first sight; `None` with
+    /// the partial flag set once the module is out of record memory. One probe of the name table finds or places
     /// both. Pure bookkeeping: the new-record *time* cost is charged by the
     /// wrapper at the emission site (this runs inside event folds, which
     /// must not sleep).
     fn ensure(
         &mut self,
         rt: &DarshanRuntime,
-        m: usize,
         epoch: u64,
         path: impl AsRef<str> + Into<Arc<str>>,
     ) -> Option<u32> {
@@ -813,7 +805,7 @@ impl<M: Module> ModuleBuf<M> {
         let placed = rt
             .names
             .write()
-            .slot_or_insert(id, m, || path.into(), new_slot);
+            .slot_or_insert(id, M::IDX, || path.into(), new_slot);
         let (slot, created) = placed?;
         if created {
             self.touch(slot, epoch);
@@ -836,32 +828,54 @@ pub(crate) struct Bufs<'a> {
 }
 
 impl Bufs<'_> {
-    /// The POSIX slot of `path`, creating its record if needed.
-    pub(crate) fn posix_slot(&mut self, path: impl AsRef<str> + Into<Arc<str>>) -> Option<u32> {
-        self.m.posix.ensure(self.rt, POSIX, self.epoch, path)
+    /// The slot of `path`'s record in module `H`, creating it if needed.
+    pub(crate) fn slot<H: Held>(&mut self, path: impl AsRef<str> + Into<Arc<str>>) -> Option<u32> {
+        H::buf(&mut self.m).ensure(self.rt, self.epoch, path)
     }
 
-    /// The STDIO slot of `path`, creating its record if needed.
-    pub(crate) fn stdio_slot(&mut self, path: impl AsRef<str> + Into<Arc<str>>) -> Option<u32> {
-        self.m.stdio.ensure(self.rt, STDIO, self.epoch, path)
+    /// The record at `slot` of module `H`, stamped dirty.
+    fn touch<H: Held>(&mut self, slot: u32) -> &mut Record<H> {
+        H::buf(&mut self.m).touch(slot, self.epoch)
+    }
+
+    /// Count an open on `counter` and stamp it.
+    pub(crate) fn opened<H: Held>(
+        &mut self,
+        slot: u32,
+        counter: H::Counter,
+        t0: SimTime,
+        t1: SimTime,
+    ) {
+        let (s, e) = (self.rt.rel(t0), self.rt.rel(t1));
+        self.meta::<H>(slot, counter, t0, t1);
+        self.touch::<H>(slot).stamp(H::STAMPS[0], s, e);
+    }
+
+    /// Stamp a close and add its time.
+    pub(crate) fn closed<H: Held>(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
+        let (s, e) = (self.rt.rel(t0), self.rt.rel(t1));
+        let r = self.touch::<H>(slot);
+        r.stamp(H::STAMPS[H::STAMPS.len() - 1], s, e);
+        *r.fget_mut(H::TIMES[2]) += e - s;
+    }
+
+    /// Count a metadata operation on `counter` and add its time.
+    pub(crate) fn meta<H: Held>(
+        &mut self,
+        slot: u32,
+        counter: H::Counter,
+        t0: SimTime,
+        t1: SimTime,
+    ) {
+        let dt = self.rt.rel(t1) - self.rt.rel(t0);
+        let r = self.touch::<H>(slot);
+        *r.get_mut(counter) += 1;
+        *r.fget_mut(H::TIMES[2]) += dt;
     }
 
     /// Count one POSIX `open` (whether or not a record could be held).
     pub(crate) fn count_open(&mut self) {
         self.totals.posix_opens += 1;
-    }
-
-    pub(crate) fn posix_opened(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
-        self.rt.opened(self.m.posix.touch(slot, self.epoch), t0, t1);
-    }
-
-    pub(crate) fn posix_closed(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
-        self.rt.closed(self.m.posix.touch(slot, self.epoch), t0, t1);
-    }
-
-    pub(crate) fn posix_meta(&mut self, slot: u32, counter: P, t0: SimTime, t1: SimTime) {
-        self.rt
-            .meta(self.m.posix.touch(slot, self.epoch), counter, t0, t1);
     }
 
     fn count_io(&mut self, op: DxtOp, len: u64) {
@@ -890,7 +904,7 @@ impl Bufs<'_> {
         self.count_io(op, len);
         let (write, w) = (op == DxtOp::Write, (op == DxtOp::Write) as usize);
         let (s, e) = (self.rt.rel(t0), self.rt.rel(t1));
-        let r = self.m.posix.touch(slot, self.epoch);
+        let r = self.touch::<Posix>(slot);
         *r.get_mut([P::POSIX_READS, P::POSIX_WRITES][w]) += 1;
         *r.get_mut([P::POSIX_BYTES_READ, P::POSIX_BYTES_WRITTEN][w]) += len as i64;
         let hist = [P::POSIX_SIZE_READ_0_100, P::POSIX_SIZE_WRITE_0_100][w];
@@ -965,19 +979,6 @@ impl Bufs<'_> {
         }
     }
 
-    pub(crate) fn stdio_opened(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
-        self.rt.opened(self.m.stdio.touch(slot, self.epoch), t0, t1);
-    }
-
-    pub(crate) fn stdio_closed(&mut self, slot: u32, t0: SimTime, t1: SimTime) {
-        self.rt.closed(self.m.stdio.touch(slot, self.epoch), t0, t1);
-    }
-
-    pub(crate) fn stdio_meta(&mut self, slot: u32, counter: S, t0: SimTime, t1: SimTime) {
-        self.rt
-            .meta(self.m.stdio.touch(slot, self.epoch), counter, t0, t1);
-    }
-
     pub(crate) fn stdio_io(
         &mut self,
         slot: u32,
@@ -989,12 +990,35 @@ impl Bufs<'_> {
     ) {
         let w = write as usize;
         let dt = self.rt.rel(t1) - self.rt.rel(t0);
-        let r = self.m.stdio.touch(slot, self.epoch);
+        let r = self.touch::<Stdio>(slot);
         *r.get_mut([S::STDIO_READS, S::STDIO_WRITES][w]) += 1;
         *r.get_mut([S::STDIO_BYTES_READ, S::STDIO_BYTES_WRITTEN][w]) += len as i64;
         let max_byte = [S::STDIO_MAX_BYTE_READ, S::STDIO_MAX_BYTE_WRITTEN][w];
         max_offset(r.get_mut(max_byte), pos, len);
         *r.fget_mut(Stdio::TIMES[w]) += dt;
+    }
+
+    /// The MPI-IO read/write mutator: the independent or collective op
+    /// count, bytes and time. The bytes also reach the POSIX record
+    /// through the descriptor I/O beneath.
+    pub(crate) fn mpiio_io(
+        &mut self,
+        slot: u32,
+        (write, collective): (bool, bool),
+        len: u64,
+        t0: SimTime,
+        t1: SimTime,
+    ) {
+        let w = write as usize;
+        let dt = self.rt.rel(t1) - self.rt.rel(t0);
+        let r = self.touch::<Mpiio>(slot);
+        let ops = [
+            [MI::MPIIO_INDEP_READS, MI::MPIIO_INDEP_WRITES],
+            [MI::MPIIO_COLL_READS, MI::MPIIO_COLL_WRITES],
+        ];
+        *r.get_mut(ops[collective as usize][w]) += 1;
+        *r.get_mut([MI::MPIIO_BYTES_READ, MI::MPIIO_BYTES_WRITTEN][w]) += len as i64;
+        *r.fget_mut(Mpiio::TIMES[w]) += dt;
     }
 }
 

@@ -1,5 +1,5 @@
 //! The Darshan event-fold consumer: turns the probe spine's [`IoEvent`]
-//! stream into POSIX/STDIO module records and DXT segments.
+//! stream into POSIX/STDIO/MPI-IO module records and DXT segments.
 //!
 //! Before the backplane existed, each wrapper updated the module records
 //! inline, taking the module locks on every syscall. Now the wrappers only
@@ -20,7 +20,10 @@
 //!   `fread`'s buffer refills) and staging-daemon I/O ([`Origin::Prefetch`];
 //!   a background copier does not run through the app's patched GOT);
 //! * [`EventKind::MmapFault`]s are skipped: faults are not syscalls, so
-//!   symbol-level instrumentation stays blind to them (paper §VII).
+//!   symbol-level instrumentation stays blind to them (paper §VII);
+//! * MPI-IO events fold into the MPI-IO module by path: the MPI library
+//!   emits one per call on the rank's spine, beside the POSIX events of
+//!   the descriptor I/O beneath it (parallel Darshan's MPI-IO module).
 //!
 //! Every runtime mutator this fold calls stamps the touched record with the
 //! current extraction epoch, which is what lets
@@ -44,9 +47,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use probe::{EventKind, IoEvent, Origin, PathId, ProbeSink};
 
-use crate::counters::{PosixCounter as P, StdioCounter as S};
+use crate::counters::{Mpiio, MpiioCounter as MI, Posix, PosixCounter as P};
+use crate::counters::{Stdio, StdioCounter as S};
 use crate::idmap::IdMap;
-use crate::runtime::{Bufs, DarshanRuntime, DxtOp};
+use crate::runtime::{Bufs, DarshanRuntime, DxtOp, Held};
 
 /// Folds probe events into a [`DarshanRuntime`]'s module buffers.
 pub struct DarshanSink {
@@ -63,12 +67,11 @@ struct Memo {
     maps: IdMap<u64, u32>,
     /// stream → STDIO slot.
     streams: IdMap<u64, u32>,
-    /// interned path → POSIX slot. Filled the first time a path is seen;
-    /// records are never evicted, so a hit means the record exists.
-    posix_paths: IdMap<PathId, u32>,
-    /// interned path → STDIO slot (separate module, separate map: a path
-    /// opened via POSIX may have no STDIO record yet).
-    stdio_paths: IdMap<PathId, u32>,
+    /// interned path → slot, one map per module (indexed by
+    /// [`Held::IDX`]): a path opened via POSIX may have no STDIO record
+    /// yet. Filled the first time a path is seen; records are never
+    /// evicted, so a hit means the record exists.
+    paths: [IdMap<PathId, u32>; 3],
 }
 
 impl DarshanSink {
@@ -82,20 +85,13 @@ impl DarshanSink {
 }
 
 impl Memo {
-    /// The POSIX slot of `path`, creating its record on first sight; `None`
-    /// while the module is out of record memory (not memoized, so a later
-    /// event retries, as the runtime's own mutators do).
-    fn posix_path(&mut self, b: &mut Bufs<'_>, path: PathId) -> Option<u32> {
-        match self.posix_paths.entry(path) {
+    /// The module-`H` slot of `path`, creating its record on first sight;
+    /// `None` while the module is out of record memory (not memoized, so a
+    /// later event retries, as the runtime's own mutators do).
+    fn path<H: Held>(&mut self, b: &mut Bufs<'_>, path: PathId) -> Option<u32> {
+        match self.paths[H::IDX].entry(path) {
             Entry::Occupied(slot) => Some(*slot.get()),
-            Entry::Vacant(memo) => Some(*memo.insert(b.posix_slot(path.resolve())?)),
-        }
-    }
-
-    fn stdio_path(&mut self, b: &mut Bufs<'_>, path: PathId) -> Option<u32> {
-        match self.stdio_paths.entry(path) {
-            Entry::Occupied(slot) => Some(*slot.get()),
-            Entry::Vacant(memo) => Some(*memo.insert(b.stdio_slot(path.resolve())?)),
+            Entry::Vacant(memo) => Some(*memo.insert(b.slot::<H>(path.resolve())?)),
         }
     }
 
@@ -106,7 +102,7 @@ impl Memo {
         if let Some(&slot) = self.fds.get(&fd) {
             return Some(slot);
         }
-        let slot = self.posix_path(b, path)?;
+        let slot = self.path::<Posix>(b, path)?;
         self.fds.insert(fd, slot);
         Some(slot)
     }
@@ -115,14 +111,14 @@ impl Memo {
         let (t0, t1) = (ev.t0, ev.t1);
         let mut fd_meta = |m: &mut Self, fd, counter| {
             if let Some(slot) = m.fd_slot(b, fd, ev.target) {
-                b.posix_meta(slot, counter, t0, t1);
+                b.meta::<Posix>(slot, counter, t0, t1);
             }
         };
         match ev.kind {
             EventKind::Open { fd } => {
                 b.count_open();
-                if let Some(slot) = self.posix_path(b, ev.target) {
-                    b.posix_opened(slot, t0, t1);
+                if let Some(slot) = self.path::<Posix>(b, ev.target) {
+                    b.opened::<Posix>(slot, P::POSIX_OPENS, t0, t1);
                     self.fds.insert(fd, slot);
                 }
             }
@@ -130,7 +126,7 @@ impl Memo {
                 // No lazy registration on close (mirrors the old wrapper):
                 // a descriptor first seen at close has nothing to record.
                 if let Some(slot) = self.fds.remove(&fd) {
-                    b.posix_closed(slot, t0, t1);
+                    b.closed::<Posix>(slot, t0, t1);
                 }
             }
             EventKind::Read { fd, offset, len } => {
@@ -145,35 +141,35 @@ impl Memo {
             }
             EventKind::Seek { fd, .. } => fd_meta(self, fd, P::POSIX_SEEKS),
             EventKind::Stat => {
-                if let Some(slot) = self.posix_path(b, ev.target) {
-                    b.posix_meta(slot, P::POSIX_STATS, t0, t1);
+                if let Some(slot) = self.path::<Posix>(b, ev.target) {
+                    b.meta::<Posix>(slot, P::POSIX_STATS, t0, t1);
                 }
             }
             EventKind::Fstat { fd } => fd_meta(self, fd, P::POSIX_STATS),
             EventKind::Fsync { fd } => fd_meta(self, fd, P::POSIX_FSYNCS),
             EventKind::Mmap { map, fd, .. } => {
                 if let Some(slot) = self.fd_slot(b, fd, ev.target) {
-                    b.posix_meta(slot, P::POSIX_MMAPS, t0, t1);
+                    b.meta::<Posix>(slot, P::POSIX_MMAPS, t0, t1);
                     self.maps.insert(map, slot);
                 }
             }
             EventKind::Msync { map } => {
                 if let Some(&slot) = self.maps.get(&map) {
-                    b.posix_meta(slot, P::POSIX_MSYNCS, t0, t1);
+                    b.meta::<Posix>(slot, P::POSIX_MSYNCS, t0, t1);
                 }
             }
             EventKind::Munmap { map } => {
                 self.maps.remove(&map);
             }
             EventKind::StdioOpen { stream } => {
-                if let Some(slot) = self.stdio_path(b, ev.target) {
-                    b.stdio_opened(slot, t0, t1);
+                if let Some(slot) = self.path::<Stdio>(b, ev.target) {
+                    b.opened::<Stdio>(slot, S::STDIO_OPENS, t0, t1);
                     self.streams.insert(stream, slot);
                 }
             }
             EventKind::StdioClose { stream } => {
                 if let Some(slot) = self.streams.remove(&stream) {
-                    b.stdio_closed(slot, t0, t1);
+                    b.closed::<Stdio>(slot, t0, t1);
                 }
             }
             EventKind::StdioRead { stream, pos, len } => {
@@ -188,12 +184,33 @@ impl Memo {
             }
             EventKind::StdioSeek { stream, .. } => {
                 if let Some(&slot) = self.streams.get(&stream) {
-                    b.stdio_meta(slot, S::STDIO_SEEKS, t0, t1);
+                    b.meta::<Stdio>(slot, S::STDIO_SEEKS, t0, t1);
                 }
             }
             EventKind::StdioFlush { stream } => {
                 if let Some(&slot) = self.streams.get(&stream) {
-                    b.stdio_meta(slot, S::STDIO_FLUSHES, t0, t1);
+                    b.meta::<Stdio>(slot, S::STDIO_FLUSHES, t0, t1);
+                }
+            }
+            EventKind::MpiOpen { collective } => {
+                if let Some(slot) = self.path::<Mpiio>(b, ev.target) {
+                    let opens = [MI::MPIIO_INDEP_OPENS, MI::MPIIO_COLL_OPENS];
+                    b.opened::<Mpiio>(slot, opens[collective as usize], t0, t1);
+                }
+            }
+            EventKind::MpiClose => {
+                if let Some(slot) = self.path::<Mpiio>(b, ev.target) {
+                    b.closed::<Mpiio>(slot, t0, t1);
+                }
+            }
+            EventKind::MpiIo {
+                len,
+                write,
+                collective,
+                ..
+            } => {
+                if let Some(slot) = self.path::<Mpiio>(b, ev.target) {
+                    b.mpiio_io(slot, (write, collective), len, t0, t1);
                 }
             }
             // Never folded; `on_events` skips them before taking locks.

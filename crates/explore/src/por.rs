@@ -60,6 +60,18 @@ fn sync_obj(ev: &IoEvent) -> Option<u64> {
     }
 }
 
+/// Events that reorder freely against any other.
+fn commutes(kind: &EventKind) -> bool {
+    matches!(
+        kind,
+        EventKind::Sync { .. }
+            | EventKind::TraceSpan { .. }
+            | EventKind::MpiOpen { .. }
+            | EventKind::MpiClose
+            | EventKind::MpiIo { .. }
+    )
+}
+
 /// Would reordering `a` and `b` be observable? (Same-task pairs are never
 /// asked about — callers compare blocks of *different* candidates.)
 pub(crate) fn conflicts(a: &IoEvent, b: &IoEvent) -> bool {
@@ -68,10 +80,10 @@ pub(crate) fn conflicts(a: &IoEvent, b: &IoEvent) -> bool {
         (Some(_), None) | (None, Some(_)) => return false,
         (None, None) => {}
     }
-    // Lifecycle sync edges and profiler annotations commute with everything.
-    if matches!(a.kind, EventKind::Sync { .. } | EventKind::TraceSpan { .. })
-        || matches!(b.kind, EventKind::Sync { .. } | EventKind::TraceSpan { .. })
-    {
+    // Lifecycle sync edges and profiler annotations commute with
+    // everything, and so do MPI-IO calls: the POSIX events beneath them
+    // carry their conflicts.
+    if commutes(&a.kind) || commutes(&b.kind) {
         return false;
     }
     // File operations on different targets are independent.

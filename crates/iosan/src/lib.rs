@@ -213,7 +213,8 @@ impl Inner {
             }
             // Stream-level events live in stream-position space, not file
             // offsets; the underlying descriptor traffic arrives separately
-            // as stdio-internal Read/Write events with true offsets.
+            // as stdio-internal Read/Write events with true offsets. MPI-IO
+            // calls likewise arrive with the descriptor I/O beneath them.
             EventKind::Msync { .. }
             | EventKind::Munmap { .. }
             | EventKind::Stat
@@ -223,6 +224,9 @@ impl Inner {
             | EventKind::StdioWrite { .. }
             | EventKind::StdioSeek { .. }
             | EventKind::StdioFlush { .. }
+            | EventKind::MpiOpen { .. }
+            | EventKind::MpiClose
+            | EventKind::MpiIo { .. }
             | EventKind::TraceSpan { .. } => {}
         }
     }

@@ -1,8 +1,14 @@
 //! MPI-IO over the POSIX layer (ROMIO's shape: MPI-IO functions are a
-//! library over `open`/`pread`/`pwrite`), with a PMPI-interposable layer
-//! so the parallel Darshan's MPI-IO module can wrap it (paper §III).
+//! library over `open`/`pread`/`pwrite`), with a PMPI-interposable layer.
+//!
+//! [`DefaultMpiIo`] emits one probe event per MPI-IO call on the rank's
+//! spine, beside the POSIX events of the descriptor I/O beneath it, so a
+//! Darshan runtime attached to the rank records both layers, as parallel
+//! Darshan does with its MPI-IO and POSIX modules (paper §III).
 
-use posix_sim::{Fd, OpenFlags, PosixResult};
+use posix_sim::{Fd, OpenFlags, PosixResult, Process};
+use probe::{EventKind, PathId};
+use simrt::SimTime;
 use storage_sim::WritePayload;
 
 use crate::comm::Comm;
@@ -11,6 +17,7 @@ use crate::comm::Comm;
 pub struct MpiFile {
     /// Path the file was opened with.
     pub path: String,
+    path_id: PathId,
     pub(crate) fd: Fd,
     /// Whether the open was collective.
     pub collective: bool,
@@ -38,8 +45,51 @@ pub trait MpiIoLayer: Send + Sync {
 
 /// The stock MPI-IO implementation: forwards to the rank's POSIX process
 /// (so Darshan's POSIX module still sees the underlying descriptor I/O,
-/// exactly as with ROMIO on a real system).
+/// exactly as with ROMIO on a real system) and emits one event per call.
+///
+/// A collective call runs between two barriers, and every rank completes
+/// both whatever its own result, so a failure on one rank cannot leave its
+/// peers waiting.
 pub struct DefaultMpiIo;
+
+/// Emit `kind` for a call on `fh` that started at `t0`.
+fn emit(p: &Process, t0: Option<SimTime>, fh: &MpiFile, kind: EventKind) {
+    if let Some(t0) = t0 {
+        p.probe_emit(t0, fh.path_id, kind);
+    }
+}
+
+/// Read or write `len` bytes at `offset` on this rank (between the
+/// collective's barriers when `collective`) and emit the call's event.
+fn access(
+    comm: &Comm,
+    fh: &MpiFile,
+    (offset, len): (u64, u64),
+    (write, collective): (bool, bool),
+) -> PosixResult<u64> {
+    let p = comm.process();
+    let t0 = p.probe_t0();
+    if collective {
+        comm.barrier();
+    }
+    let n = if write {
+        p.pwrite(fh.fd, offset, WritePayload::Synthetic(len))
+    } else {
+        p.pread(fh.fd, offset, len, None)
+    };
+    if collective {
+        comm.barrier();
+    }
+    let len = n?;
+    let kind = EventKind::MpiIo {
+        offset,
+        len,
+        write,
+        collective,
+    };
+    emit(&p, t0, fh, kind);
+    Ok(len)
+}
 
 impl MpiIoLayer for DefaultMpiIo {
     fn file_open(
@@ -49,9 +99,8 @@ impl MpiIoLayer for DefaultMpiIo {
         write: bool,
         collective: bool,
     ) -> PosixResult<MpiFile> {
-        if collective {
-            comm.barrier();
-        }
+        let p = comm.process();
+        let t0 = p.probe_t0();
         let flags = if write {
             OpenFlags {
                 read: true,
@@ -62,49 +111,49 @@ impl MpiIoLayer for DefaultMpiIo {
         } else {
             OpenFlags::rdonly()
         };
-        // Rank 0 creates first on collective writable opens so the create
-        // is not raced (deterministic sim ordering makes this a formality,
-        // but it mirrors ROMIO's behaviour).
-        let p = comm.process();
-        let fd = p.open(path, flags)?;
         if collective {
             comm.barrier();
         }
-        Ok(MpiFile {
+        let fd = p.open(path, flags);
+        if collective {
+            comm.barrier();
+        }
+        let fd = fd?;
+        let fh = MpiFile {
             path: path.to_string(),
+            path_id: probe::intern(path),
             fd,
             collective,
-        })
+        };
+        emit(&p, t0, &fh, EventKind::MpiOpen { collective });
+        Ok(fh)
     }
 
     fn read_at(&self, comm: &Comm, fh: &MpiFile, offset: u64, len: u64) -> PosixResult<u64> {
-        comm.process().pread(fh.fd, offset, len, None)
+        access(comm, fh, (offset, len), (false, false))
     }
 
     fn write_at(&self, comm: &Comm, fh: &MpiFile, offset: u64, len: u64) -> PosixResult<u64> {
-        comm.process()
-            .pwrite(fh.fd, offset, WritePayload::Synthetic(len))
+        access(comm, fh, (offset, len), (true, false))
     }
 
     fn read_at_all(&self, comm: &Comm, fh: &MpiFile, offset: u64, len: u64) -> PosixResult<u64> {
-        comm.barrier();
-        let n = self.read_at(comm, fh, offset, len)?;
-        comm.barrier();
-        Ok(n)
+        access(comm, fh, (offset, len), (false, true))
     }
 
     fn write_at_all(&self, comm: &Comm, fh: &MpiFile, offset: u64, len: u64) -> PosixResult<u64> {
-        comm.barrier();
-        let n = self.write_at(comm, fh, offset, len)?;
-        comm.barrier();
-        Ok(n)
+        access(comm, fh, (offset, len), (true, true))
     }
 
     fn file_close(&self, comm: &Comm, fh: MpiFile) -> PosixResult<()> {
+        let p = comm.process();
+        let t0 = p.probe_t0();
         if fh.collective {
             comm.barrier();
         }
-        comm.process().close(fh.fd)
+        p.close(fh.fd)?;
+        emit(&p, t0, &fh, EventKind::MpiClose);
+        Ok(())
     }
 }
 
@@ -181,6 +230,35 @@ mod tests {
         sim.run();
         // All four blocks landed: the file is 4 MiB.
         assert_eq!(fs.content_info("/pfs/ckpt").unwrap().0, 4 * block);
+    }
+
+    #[test]
+    fn a_rank_failing_a_collective_write_does_not_strand_its_peers() {
+        let sim = simrt::Sim::new();
+        let fs = LocalFs::new(
+            Device::new(DeviceSpec::sata_ssd("ssd0")),
+            Arc::new(PageCache::new(1 << 30)),
+            LocalFsParams {
+                capacity: 2 << 20,
+                ..Default::default()
+            },
+        );
+        let stack = StorageStack::new();
+        stack.mount("/pfs", fs as Arc<dyn FileSystem>);
+        let world = MpiWorld::new(&stack, 4, NetworkModel::default());
+        let handles = world.spawn_ranks(&sim, |comm| {
+            let fh = comm.file_open("/pfs/ckpt", true).unwrap();
+            let block = 1u64 << 20;
+            let r = comm.file_write_at_all(&fh, comm.rank() as u64 * block, block);
+            comm.file_close(fh).unwrap();
+            r
+        });
+        sim.run();
+        let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        assert_eq!(results[0], Ok(1 << 20));
+        for r in &results[1..] {
+            assert_eq!(*r, Err(posix_sim::Errno::ENOSPC));
+        }
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! * [`comm`] — ranks as simulated processes over a shared parallel
 //!   filesystem, with barrier/allreduce/bcast cost models (the gradient
 //!   synchronization of data-parallel training);
+//! * [`collective`] — data-carrying collectives whose membership may
+//!   shrink (for background services);
 //! * [`io`] — MPI-IO layered over POSIX (ROMIO's shape), interposable via
-//!   a PMPI-style layer swap;
-//! * [`mpiio_module`] — the parallel Darshan MPI-IO module: per-rank
-//!   records with independent/collective op counters, plus the job-level
-//!   reduction at `MPI_Finalize` (shared files merge across ranks —
-//!   see also `darshan_sim::reduce` for the POSIX-module reduction).
+//!   a PMPI-style layer swap. Each MPI-IO call emits one probe event on
+//!   the rank's spine, so the Darshan runtime attached to a rank folds it
+//!   into its MPI-IO module, beside the POSIX module that records the
+//!   descriptor I/O beneath; `darshan_sim::reduce_job` over the ranks'
+//!   snapshots gives the job view.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,9 +23,7 @@
 pub mod collective;
 pub mod comm;
 pub mod io;
-pub mod mpiio_module;
 
 pub use collective::{FusionTopology, SumAllreduce, SumProgress};
 pub use comm::{CollectivePoll, CollectiveProgress, Comm, MpiWorld, NetworkModel};
 pub use io::{DefaultMpiIo, MpiFile, MpiIoLayer};
-pub use mpiio_module::{DarshanMpiio, MpiioRecord};

@@ -184,9 +184,11 @@ impl Process {
 
     /// Timestamp an instrumented operation's entry: `Some(now)` when the
     /// process's spine has sinks and we are on a simulated thread, else
-    /// `None` (and the operation emits nothing).
+    /// `None` (and the operation emits nothing). Libraries layered over
+    /// this process (MPI-IO) emit their own calls' events with this and
+    /// [`Process::probe_emit`].
     #[inline]
-    pub(crate) fn probe_t0(&self) -> Option<SimTime> {
+    pub fn probe_t0(&self) -> Option<SimTime> {
         if self.probe.is_active() {
             simrt::try_now()
         } else {
@@ -199,7 +201,7 @@ impl Process {
     /// is an interned id (cached in the [`FdEntry`] at open time), so
     /// building the event allocates nothing and touches no refcounts.
     #[inline]
-    pub(crate) fn probe_emit(&self, t0: SimTime, target: PathId, kind: EventKind) {
+    pub fn probe_emit(&self, t0: SimTime, target: PathId, kind: EventKind) {
         let t1 = match simrt::try_now() {
             Some(t) => t,
             None => return,

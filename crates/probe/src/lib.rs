@@ -195,6 +195,25 @@ pub enum EventKind {
         /// Stream handle.
         stream: u64,
     },
+    /// `MPI_File_open` on the event's `target` succeeded. The POSIX `open`
+    /// beneath it is an event of its own, as with every MPI-IO kind.
+    MpiOpen {
+        /// Opened by all ranks of the communicator together.
+        collective: bool,
+    },
+    /// `MPI_File_close`.
+    MpiClose,
+    /// `MPI_File_{read,write}_at[_all]` moved `len` bytes at `offset`.
+    MpiIo {
+        /// File offset the transfer started at.
+        offset: u64,
+        /// Bytes actually transferred.
+        len: u64,
+        /// True for a write.
+        write: bool,
+        /// True for the `_all` (collective) form.
+        collective: bool,
+    },
     /// A host-side profiler annotation span (TraceMe). `target` carries the
     /// span name; `label` the "thread (tid)" line it belongs to.
     TraceSpan {
@@ -1154,5 +1173,13 @@ mod tests {
         flush_current_thread();
         assert_eq!(sink.events.load(Ordering::Relaxed), 2);
         assert_eq!(sink.bytes.load(Ordering::Relaxed), 150);
+    }
+
+    #[test]
+    fn event_fits_its_ring_slot() {
+        // Every instrumented operation writes one of these into the ring:
+        // a new kind must not grow the slot.
+        assert_eq!(std::mem::size_of::<EventKind>(), 32);
+        assert_eq!(std::mem::size_of::<IoEvent>(), 72);
     }
 }

@@ -6,8 +6,9 @@
 //! Four ranks share a Lustre filesystem; each reads its shard with POSIX
 //! (independent I/O, the ML pattern of §II), gradients allreduce each
 //! step, and the final checkpoint is a collective `MPI_File_write_at_all`.
-//! Per-rank Darshan records reduce to one job log, summarized like
-//! `darshan-job-summary`.
+//! Each rank's Darshan runtime records POSIX and, from the MPI library's
+//! probe events, MPI-IO; per-rank records reduce to one job log,
+//! summarized like `darshan-job-summary`.
 //!
 //! ```text
 //! cargo run --release --example distributed_training
@@ -15,8 +16,9 @@
 
 use std::sync::Arc;
 
+use tf_darshan::darshan::MpiioCounter as MI;
 use tf_darshan::darshan::{reduce_job, DarshanConfig, DarshanLibrary, DarshanLog, JobSummary};
-use tf_darshan::mpi::{DarshanMpiio, DefaultMpiIo, MpiIoLayer, MpiWorld, NetworkModel};
+use tf_darshan::mpi::{MpiWorld, NetworkModel};
 use tf_darshan::posix::OpenFlags;
 use tf_darshan::storage::{FileSystem, LustreFs, LustreParams, PageCache, StorageStack};
 
@@ -41,8 +43,6 @@ fn main() {
     }
 
     let world = MpiWorld::new(&stack, RANKS, NetworkModel::default());
-    let mpiio = DarshanMpiio::new(Arc::new(DefaultMpiIo));
-    world.pmpi_interpose(mpiio.clone() as Arc<dyn MpiIoLayer>);
     let darshans: Vec<_> = (0..RANKS)
         .map(|_| DarshanLibrary::new(DarshanConfig::default()))
         .collect();
@@ -95,12 +95,14 @@ fn main() {
     };
     println!("{}", JobSummary::from_log(&log, 5).render());
     println!("MPI-IO module (job view):");
-    for (path, rec) in mpiio.reduce_job() {
+    let mpiio = reduce_job(&per_rank.iter().map(|s| s.mpiio.clone()).collect::<Vec<_>>());
+    for rec in mpiio {
         println!(
-            "  {path}: {} collective opens, {} collective writes, {:.0} MiB",
-            rec.coll_opens,
-            rec.coll_writes,
-            rec.bytes_written as f64 / (1024.0 * 1024.0)
+            "  {}: {} collective opens, {} collective writes, {:.0} MiB",
+            log.names[&rec.rec_id],
+            rec.get(MI::MPIIO_COLL_OPENS),
+            rec.get(MI::MPIIO_COLL_WRITES),
+            rec.get(MI::MPIIO_BYTES_WRITTEN) as f64 / (1024.0 * 1024.0)
         );
     }
 }

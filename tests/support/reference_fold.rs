@@ -20,6 +20,19 @@ use tf_darshan::darshan::{
 use tf_darshan::probe::{EventKind, IoEvent, Origin, PathId};
 use tf_darshan::simrt::SimTime;
 
+/// The open counter of each module this reference folds.
+trait Opens: Module {
+    const OPENS: Self::Counter;
+}
+
+impl Opens for Posix {
+    const OPENS: P = P::POSIX_OPENS;
+}
+
+impl Opens for Stdio {
+    const OPENS: S = S::STDIO_OPENS;
+}
+
 /// The common-access tracker: at most 64 distinct values; on overflow the
 /// rarest goes, the largest value among equally rare ones first.
 #[derive(Clone, Debug, Default)]
@@ -228,7 +241,7 @@ impl RefFold {
         Some(r)
     }
 
-    fn opened<M: Module>(r: &mut Live<M>, t0: SimTime, t1: SimTime) {
+    fn opened<M: Opens>(r: &mut Live<M>, t0: SimTime, t1: SimTime) {
         *r.rec.get_mut(M::OPENS) += 1;
         let (s, e) = (rel(t0), rel(t1));
         r.stamp(M::STAMPS[0], s, e);
@@ -522,7 +535,12 @@ impl RefFold {
             }
             EventKind::StdioSeek { stream, .. } => self.stream_meta(ev, stream, S::STDIO_SEEKS),
             EventKind::StdioFlush { stream } => self.stream_meta(ev, stream, S::STDIO_FLUSHES),
-            EventKind::TraceSpan { .. } | EventKind::Sync { .. } => {}
+            // The streams this reference folds carry no MPI-IO calls.
+            EventKind::TraceSpan { .. }
+            | EventKind::Sync { .. }
+            | EventKind::MpiOpen { .. }
+            | EventKind::MpiClose
+            | EventKind::MpiIo { .. } => {}
         }
     }
 
