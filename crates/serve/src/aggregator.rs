@@ -915,6 +915,57 @@ mod tests {
     }
 
     #[test]
+    fn sanitizer_and_scheduler_roll_up_per_tenant() {
+        let summary = |f, e, w, events, cats: &[&str]| iosan::SanitizerSummary {
+            findings: f,
+            errors: e,
+            warnings: w,
+            events_analyzed: events,
+            categories: cats.iter().map(|c| c.to_string()).collect(),
+        };
+        let with = |mut m: SessionDiffMsg, s: iosan::SanitizerSummary, peak_live| {
+            m.report.sanitizer = Some(s);
+            m.report.scheduler = Some(Default::default());
+            m.report.scheduler.as_mut().unwrap().peak_live_tasks = peak_live;
+            m
+        };
+        let mut agg = Aggregator::new(AggregatorConfig::default());
+        let first = summary(2, 1, 1, 100, &["data-race", "fd-leak"]);
+        agg.ingest(with(msg("a", 0, 0, 10, 1.0), first, 9));
+        let second = summary(1, 1, 0, 50, &["close-race", "data-race"]);
+        agg.ingest(with(msg("a", 1, 0, 10, 2.0), second, 4));
+        // A session carrying neither block leaves both rollups as they were.
+        agg.ingest(msg("a", 0, 1, 10, 3.0));
+        // Tenant "b" only ever reports all-zero summaries.
+        agg.ingest(with(msg("b", 0, 0, 10, 1.0), summary(0, 0, 0, 0, &[]), 2));
+        agg.ingest(with(msg("b", 0, 1, 10, 2.0), summary(0, 0, 0, 0, &[]), 2));
+        // Tenant "c" ran clean: events but no findings still report.
+        agg.ingest(with(msg("c", 0, 0, 10, 1.0), summary(0, 0, 0, 70, &[]), 1));
+
+        let a = agg.job("a").unwrap().report();
+        let want = summary(3, 2, 1, 150, &["close-race", "data-race", "fd-leak"]);
+        assert_eq!(a.sanitizer, Some(want), "summed, categories sorted once");
+        assert_eq!(a.scheduler.unwrap().peak_live_tasks, 4, "the last one wins");
+        assert_eq!(agg.job("b").unwrap().report().sanitizer, None);
+        assert_eq!(
+            agg.job("c").unwrap().report().sanitizer,
+            Some(summary(0, 0, 0, 70, &[]))
+        );
+
+        let text = agg.render_metrics();
+        for line in [
+            "# TYPE tfdarshan_job_sanitizer_findings_total counter",
+            r#"tfdarshan_job_sanitizer_findings_total{job="a"} 3"#,
+            r#"tfdarshan_job_sanitizer_findings_total{job="b"} 0"#,
+            "# TYPE tfdarshan_job_sched_peak_live_tasks gauge",
+            r#"tfdarshan_job_sched_peak_live_tasks{job="a"} 4"#,
+            r#"tfdarshan_job_sched_peak_live_tasks{job="c"} 1"#,
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing {line:?}");
+        }
+    }
+
+    #[test]
     fn deterministic_for_identical_input() {
         let feed = |agg: &mut Aggregator| {
             for i in 0..50u64 {
