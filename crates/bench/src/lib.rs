@@ -2,7 +2,6 @@
 //! Shared plumbing for the figure/table bench targets: paper-vs-measured
 //! rows, ASCII series, scale selection, and JSON result persistence.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 
 use workloads::Scale;
@@ -53,18 +52,26 @@ pub fn series(name: &str, points: &[(f64, f64)], unit: &str) {
     }
 }
 
-/// Persist a JSON value under `results/<name>.json` (workspace root).
+/// Persist a JSON value under `results/<name>.json` (workspace root) and
+/// print that workspace-relative path, so bench stdout does not depend on
+/// where the checkout lives. Panics with the path on any I/O error: a
+/// result that silently fails to save would let a `git diff` of the
+/// committed file pass without the bench having written it.
 pub fn save_json(name: &str, value: &serde_json::Value) {
+    let rel = format!("results/{name}.json");
     let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     path.pop(); // crates/
     path.pop(); // workspace root
-    path.push("results");
-    let _ = std::fs::create_dir_all(&path);
-    path.push(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = writeln!(f, "{}", serde_json::to_string_pretty(value).unwrap());
-        println!("(results saved to {})", path.display());
+    path.push(&rel);
+    let dir = path.parent().expect("results/ has a parent");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        panic!("cannot create {}: {e}", dir.display());
     }
+    let text = serde_json::to_string_pretty(value).expect("JSON value serializes");
+    if let Err(e) = std::fs::write(&path, format!("{text}\n")) {
+        panic!("cannot write {}: {e}", path.display());
+    }
+    println!("(results saved to {rel})");
 }
 
 /// Relative deviation check helper.

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use tfsim::{Callback, DynamicParallelism, TfRuntime};
 
+use crate::analysis::{analyze, diff};
 use crate::wrapper::TfDarshanWrapper;
 
 /// One tuning decision, for post-hoc inspection.
@@ -117,7 +118,9 @@ impl IoAutoTuner {
     /// Close the current Darshan window, decide, and open the next one.
     pub fn window_closed(&mut self, step: usize) {
         self.wrapper.mark_stop();
-        let bandwidth = self.wrapper.session_read_bandwidth().unwrap_or(0.0);
+        let bandwidth = self.wrapper.session_snapshots().map_or(0.0, |(a, b)| {
+            analyze(&diff(&a, &b), &[]).0.read_bandwidth_mibps
+        });
         let target = self.ctl.target();
         let next = self.adjust(bandwidth);
         self.history.push(TuneStep {

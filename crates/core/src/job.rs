@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use simrt::{EventHandle, EventTask, Sim};
 use storage_sim::StorageStack;
 
-use crate::analysis::{analyze, diff, per_file, SnapshotDiff};
+use crate::analysis::{diff, SnapshotDiff};
 use crate::report::TfDarshanReport;
 use crate::wrapper::{TfDarshanConfig, TfDarshanWrapper};
 
@@ -107,16 +107,7 @@ impl RankSession {
     /// This rank's own report — exactly what the single-process tracer
     /// produces from the same diff and DXT.
     pub fn report(&self) -> TfDarshanReport {
-        let (io, stdio) = analyze(&self.diff, &self.dxt);
-        TfDarshanReport {
-            window: self.diff.window,
-            io,
-            stdio,
-            files: per_file(&self.diff),
-            sanitizer: None,
-            scheduler: None,
-            explore: None,
-        }
+        TfDarshanReport::from_diff(&self.diff, &self.dxt)
     }
 }
 

@@ -34,7 +34,7 @@ use darshan_sim::{Names, Posix, Stdio};
 use parking_lot::Mutex;
 use simrt::{EventCx, EventHandle, EventPoll, Sim};
 
-use crate::analysis::{analyze, per_file, SnapshotDiff};
+use crate::analysis::SnapshotDiff;
 use crate::job::{missing_ranks_of, JobReport, RankSession};
 use crate::report::TfDarshanReport;
 
@@ -284,20 +284,10 @@ impl TreeStepper {
             names,
             partial: root.partial,
         };
-        let (io, stdio) = analyze(&job_diff, &root.dxt);
-        let job = TfDarshanReport {
-            window: job_diff.window,
-            io,
-            stdio,
-            files: per_file(&job_diff),
-            sanitizer: None,
-            scheduler: None,
-            explore: None,
-        };
         let report = JobReport {
             world_size,
             missing_ranks: missing_ranks_of(sessions, world_size),
-            job,
+            job: TfDarshanReport::from_diff(&job_diff, &root.dxt),
             per_rank: sessions.iter().map(|s| s.report()).collect(),
         };
         (report, std::mem::take(&mut self.stats))

@@ -87,7 +87,7 @@ pub use job_tree::{
     reduce_job_sessions_tree, spawn_tree_reduce, TreeReduceConfig, TreeReduceHandle,
     TreeReduceStats,
 };
-pub use report::{html_escape, overview, SchedStatsReport, TfDarshanReport};
+pub use report::{html_escape, overview, TfDarshanReport};
 pub use staging::{
     advise_threshold, apply as apply_staging, plan_by_threshold, plan_within_budget, StagingPlan,
 };

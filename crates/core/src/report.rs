@@ -5,7 +5,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::{histogram_rows, FileActivity, IoStats, StdioStats};
+use darshan_sim::DxtSegment;
+
+use crate::analysis::{
+    analyze, histogram_rows, per_file, FileActivity, IoStats, SnapshotDiff, StdioStats,
+};
 
 /// Everything one profiling session learned from Darshan.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -23,76 +27,19 @@ pub struct TfDarshanReport {
     #[serde(default)]
     #[serde(skip_serializing_if = "Option::is_none")]
     pub sanitizer: Option<iosan::SanitizerSummary>,
-    /// Scheduler statistics of the simulation that produced this report
-    /// (absent for reports built outside a full run; old reports
-    /// deserialize with `None`).
+    /// Scheduler statistics of the simulation that produced this report:
+    /// carrier context switches vs inline event-task polls, task counts per
+    /// flavor and run-calendar high-water marks (absent for reports built
+    /// outside a full run; old reports deserialize with `None`).
     #[serde(default)]
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub scheduler: Option<SchedStatsReport>,
+    pub scheduler: Option<simrt::SchedStats>,
     /// Summary of a schedule-space exploration run (`crates/explore`), when
     /// the workload was model-checked rather than profiled once (absent
     /// otherwise; old reports deserialize with `None`).
     #[serde(default)]
     #[serde(skip_serializing_if = "Option::is_none")]
     pub explore: Option<ExploreSummary>,
-}
-
-/// Serializable mirror of [`simrt::SchedStats`]: what the discrete-event
-/// scheduler did while producing the report — carrier context switches vs
-/// inline event-task polls, task counts per flavor, and run-calendar
-/// high-water marks. The scale experiments read these next to the I/O
-/// counters to show that simulated concurrency costs heap entries, not OS
-/// threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedStatsReport {
-    /// Carrier context switches (parked-thread handovers).
-    pub switches: u64,
-    /// Fast-path time advances (sleeps that kept the carrier).
-    pub fast_advances: u64,
-    /// Event-task polls (inline resumptions).
-    pub event_polls: u64,
-    /// Carrier tasks spawned over the simulation's lifetime.
-    pub carrier_spawns: u64,
-    /// Event tasks spawned over the simulation's lifetime.
-    pub event_spawns: u64,
-    /// High-water mark of the run calendar (valid + stale entries).
-    pub peak_heap_depth: u64,
-    /// High-water mark of concurrently live tasks.
-    pub peak_live_tasks: u64,
-    /// Lazy compactions of the run calendar.
-    pub heap_compactions: u64,
-    /// Decision points where an installed `SchedulePolicy` was consulted
-    /// (0 for uncontrolled runs; old reports deserialize with 0).
-    #[serde(default)]
-    pub decision_points: u64,
-    /// Schedules executed by an exploration harness (aggregated).
-    #[serde(default)]
-    pub schedules_run: u64,
-    /// Schedules skipped by partial-order reduction.
-    #[serde(default)]
-    pub schedules_pruned: u64,
-    /// Maximum non-FIFO picks any explored schedule used.
-    #[serde(default)]
-    pub max_preemptions_used: u64,
-}
-
-impl From<simrt::SchedStats> for SchedStatsReport {
-    fn from(s: simrt::SchedStats) -> Self {
-        SchedStatsReport {
-            switches: s.switches,
-            fast_advances: s.fast_advances,
-            event_polls: s.event_polls,
-            carrier_spawns: s.carrier_spawns,
-            event_spawns: s.event_spawns,
-            peak_heap_depth: s.peak_heap_depth as u64,
-            peak_live_tasks: s.peak_live_tasks as u64,
-            heap_compactions: s.heap_compactions,
-            decision_points: s.decision_points,
-            schedules_run: s.schedules_run,
-            schedules_pruned: s.schedules_pruned,
-            max_preemptions_used: s.max_preemptions_used,
-        }
-    }
 }
 
 /// Summary of one `explore::check` model-checking run, embedded in the job
@@ -120,6 +67,22 @@ pub struct ExploreSummary {
 }
 
 impl TfDarshanReport {
+    /// The report of one profiling window: `analyze` and `per_file` over
+    /// the window's diff and DXT segments. Every window report — the
+    /// tracer's, a rank session's and a tree-reduced job's — is built here.
+    pub fn from_diff(d: &SnapshotDiff, dxt: &[(u64, DxtSegment)]) -> Self {
+        let (io, stdio) = analyze(d, dxt);
+        TfDarshanReport {
+            window: d.window,
+            io,
+            stdio,
+            files: per_file(d),
+            sanitizer: None,
+            scheduler: None,
+            explore: None,
+        }
+    }
+
     /// Serialize to pretty JSON (what the TensorBoard plugin would load).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
@@ -321,8 +284,7 @@ impl TfDarshanReport {
     pub fn render_html(&self) -> String {
         let io = &self.io;
         let esc = html_escape;
-        let hist_pre =
-            |hist: &[u64; 10]| -> String { esc(&super::report::render_hist_for_html(hist)) };
+        let hist_pre = |hist: &[u64; 10]| -> String { esc(&render_hist(hist)) };
         let mut files_rows = String::new();
         for f in self.files.iter().take(50) {
             files_rows.push_str(&format!(
@@ -393,10 +355,6 @@ impl TfDarshanReport {
             files_rows,
         )
     }
-}
-
-pub(crate) fn render_hist_for_html(hist: &[u64; 10]) -> String {
-    render_hist(hist)
 }
 
 /// The TF-Profiler overview line tf-Darshan extends: combines the
@@ -488,7 +446,7 @@ mod tests {
         let mut r = sample();
         assert!(!r.render_ascii().contains("-- scheduler --"));
         assert!(!r.to_json().contains("scheduler"), "absent when None");
-        r.scheduler = Some(SchedStatsReport {
+        r.scheduler = Some(simrt::SchedStats {
             switches: 42,
             fast_advances: 7,
             event_polls: 10_000,
@@ -544,7 +502,7 @@ mod tests {
         let back = TfDarshanReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back.explore, r.explore);
         // Scheduler exploration counters render when nonzero.
-        r.scheduler = Some(SchedStatsReport {
+        r.scheduler = Some(simrt::SchedStats {
             decision_points: 210,
             schedules_run: 37,
             schedules_pruned: 12,

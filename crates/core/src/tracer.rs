@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use simrt::sleep;
 use tfsim::{ProfilerOptions, TfRuntime, Tracer, TracerFactory, XEvent, XLine, XPlane, XSpace};
 
-use crate::analysis::{analyze, diff, per_file};
+use crate::analysis::diff;
 use crate::report::TfDarshanReport;
 use crate::wrapper::TfDarshanWrapper;
 
@@ -137,17 +137,8 @@ impl Tracer for DarshanTracer {
         if cfg.full_export && !cfg.analyze_cost_per_record.is_zero() && !d.posix.is_empty() {
             sleep(cfg.analyze_cost_per_record * d.posix.len() as u32);
         }
-        let (io, stdio) = analyze(&d, &dxt);
-        let files = per_file(&d);
-        let report = TfDarshanReport {
-            window: d.window,
-            io: io.clone(),
-            stdio,
-            files,
-            sanitizer: None,
-            scheduler: None,
-            explore: None,
-        };
+        let report = TfDarshanReport::from_diff(&d, &dxt);
+        let io = &report.io;
 
         // Statistics plane: one summary event carrying the headline stats.
         let init = self.wrapper.library().runtime().init_time();

@@ -152,22 +152,4 @@ impl TfDarshanWrapper {
         };
         self.lib.runtime().dxt_between(&a, &b)
     }
-
-    /// Cheap bandwidth probe over the last window (MiB/s of POSIX reads),
-    /// what the §IV.B STREAM validation derives every five batches.
-    pub fn session_read_bandwidth(&self) -> Option<f64> {
-        let (a, b) = self.session_snapshots()?;
-        let secs = b.taken_at - a.taken_at;
-        if secs <= 0.0 {
-            return None;
-        }
-        let sum = |s: &Snapshot| -> i64 {
-            s.posix
-                .iter()
-                .map(|r| r.get(darshan_sim::PosixCounter::POSIX_BYTES_READ))
-                .sum()
-        };
-        let bytes = (sum(&b) - sum(&a)).max(0) as f64;
-        Some(bytes / (1024.0 * 1024.0) / secs)
-    }
 }

@@ -21,9 +21,13 @@
 //! on mutation and keeps a persistent reduced **baseline** (`Vec<Arc<_>>`
 //! sorted by record id). [`DarshanRuntime::snapshot`] copies + reduces only
 //! the records dirtied since the previous extraction, merges them into the
-//! baseline, and hands out `Arc` clones of everything else — so both the
-//! host cost and the simulated gate-closed stall become
+//! baseline, and hands out `Arc` clones of everything else — so the record
+//! copies and the simulated gate-closed stall become
 //! `snapshot_cost_per_record × dirty_count` instead of `× total_records`.
+//! Host time stays linear in the records *held*: cloning the baseline
+//! costs one `Arc` increment per record, and the window diff
+//! (`tfdarshan::diff`) walks every record of the stop snapshot, skipping
+//! clean ones in O(1) each.
 //! The same idea covers DXT (per-file append watermarks and a log of the
 //! files each capture marked, see [`DarshanRuntime::dxt_between`]) and
 //! the name records (an append-only table that snapshots view, see
@@ -692,13 +696,16 @@ impl DarshanRuntime {
         }
     }
 
-    /// Runtime buffer extraction — the paper's entry point, now O(dirty).
+    /// Runtime buffer extraction — the paper's entry point, with O(dirty)
+    /// record copies.
     ///
     /// Copies and reduces only records dirtied since the previous
     /// extraction, merges them into the persistent baseline, and returns
-    /// the baseline as `Arc` clones. The simulated gate-closed stall is
-    /// `snapshot_cost_per_record × dirty_count`; the first snapshot (all
-    /// records dirty) costs exactly what the legacy full copy did.
+    /// the baseline as `Arc` clones — one reference-count increment per
+    /// held record, so host time is still O(held). The simulated
+    /// gate-closed stall is `snapshot_cost_per_record × dirty_count`; the
+    /// first snapshot (all records dirty) costs exactly what the legacy
+    /// full copy did.
     pub fn snapshot(&self) -> Snapshot {
         self.extract(false)
     }

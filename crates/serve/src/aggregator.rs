@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use tfdarshan::analysis::{FileActivity, IoStats, StdioStats};
 use tfdarshan::wire::{SessionDiffMsg, WIRE_VERSION};
-use tfdarshan::{SchedStatsReport, TfDarshanReport};
+use tfdarshan::TfDarshanReport;
 
 /// Tuning knobs of the aggregation core.
 #[derive(Clone, Debug)]
@@ -161,14 +161,12 @@ pub struct JobAggregate {
     pub read_sizes: BTreeMap<u64, u64>,
     /// Time-windowed bandwidth rollup.
     pub ring: BandwidthRing,
-    /// Summed sanitizer findings / errors / warnings over all sessions.
-    pub sanitizer: (u64, u64, u64),
-    /// Sanitizer events analyzed (summed).
-    pub sanitizer_events: u64,
-    /// Union of sanitizer finding categories.
-    pub sanitizer_categories: BTreeSet<String>,
+    /// Sanitizer summaries summed over all sessions (findings, errors,
+    /// warnings, events), categories as their sorted union; `None` until a
+    /// session carries one.
+    pub sanitizer: Option<iosan::SanitizerSummary>,
     /// Last scheduler gauge the job reported.
-    pub scheduler: Option<SchedStatsReport>,
+    pub scheduler: Option<simrt::SchedStats>,
     /// Diffs dropped for this tenant by queue backpressure.
     pub dropped: u64,
     /// Sequence gaps detected (messages the publisher numbered but the
@@ -192,9 +190,7 @@ impl JobAggregate {
             files: HashMap::new(),
             read_sizes: BTreeMap::new(),
             ring: BandwidthRing::new(cfg.slot_secs, cfg.slots),
-            sanitizer: (0, 0, 0),
-            sanitizer_events: 0,
-            sanitizer_categories: BTreeSet::new(),
+            sanitizer: None,
             scheduler: None,
             dropped: 0,
             seq_gaps: 0,
@@ -264,12 +260,16 @@ impl JobAggregate {
         self.ring.add(r.window.1, s.bytes_read, s.bytes_written);
 
         if let Some(sz) = &r.sanitizer {
-            self.sanitizer.0 += sz.findings;
-            self.sanitizer.1 += sz.errors;
-            self.sanitizer.2 += sz.warnings;
-            self.sanitizer_events += sz.events_analyzed;
-            self.sanitizer_categories
-                .extend(sz.categories.iter().cloned());
+            let acc = self.sanitizer.get_or_insert_with(Default::default);
+            acc.findings += sz.findings;
+            acc.errors += sz.errors;
+            acc.warnings += sz.warnings;
+            acc.events_analyzed += sz.events_analyzed;
+            for c in &sz.categories {
+                if let Err(at) = acc.categories.binary_search(c) {
+                    acc.categories.insert(at, c.clone());
+                }
+            }
         }
         if r.scheduler.is_some() {
             self.scheduler = r.scheduler;
@@ -296,24 +296,37 @@ impl JobAggregate {
         }
     }
 
+    /// The union window (`(0, 0)` before the first session) and its
+    /// length in seconds.
+    fn union_window(&self) -> ((f64, f64), f64) {
+        let w = if self.sessions == 0 {
+            (0.0, 0.0)
+        } else {
+            self.window
+        };
+        (w, (w.1 - w.0).max(0.0))
+    }
+
+    /// MiB/s of `bytes` over the union window (0 over an empty window):
+    /// the report's bandwidths and the `/metrics` gauge.
+    fn mibps(&self, bytes: u64) -> f64 {
+        let secs = self.union_window().1;
+        if secs > 0.0 {
+            bytes as f64 / (1024.0 * 1024.0) / secs
+        } else {
+            0.0
+        }
+    }
+
     /// The job's rolled-up report — what `/jobs/<id>/report` and the live
     /// HTML page render. Counters are the exact sums of every applied
     /// session diff; bandwidths are recomputed over the union window.
     pub fn report(&self) -> TfDarshanReport {
         let mut io = self.io.clone();
-        let window = if self.sessions == 0 {
-            (0.0, 0.0)
-        } else {
-            self.window
-        };
-        io.window_secs = (window.1 - window.0).max(0.0);
-        io.read_bandwidth_mibps = 0.0;
-        io.write_bandwidth_mibps = 0.0;
-        if io.window_secs > 0.0 {
-            let mib = 1024.0 * 1024.0;
-            io.read_bandwidth_mibps = io.bytes_read as f64 / mib / io.window_secs;
-            io.write_bandwidth_mibps = io.bytes_written as f64 / mib / io.window_secs;
-        }
+        let (window, window_secs) = self.union_window();
+        io.window_secs = window_secs;
+        io.read_bandwidth_mibps = self.mibps(io.bytes_read);
+        io.write_bandwidth_mibps = self.mibps(io.bytes_written);
         let mut sizes: Vec<(u64, u64)> = self.read_sizes.iter().map(|(&s, &c)| (s, c)).collect();
         sizes.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         sizes.truncate(4);
@@ -322,20 +335,17 @@ impl JobAggregate {
         let mut files: Vec<FileActivity> = self.files.values().cloned().collect();
         files.sort_by(|a, b| a.path.cmp(&b.path));
 
-        let sanitizer =
-            (self.sanitizer.0 + self.sanitizer_events > 0).then(|| iosan::SanitizerSummary {
-                findings: self.sanitizer.0,
-                errors: self.sanitizer.1,
-                warnings: self.sanitizer.2,
-                events_analyzed: self.sanitizer_events,
-                categories: self.sanitizer_categories.iter().cloned().collect(),
-            });
         TfDarshanReport {
             window,
             io,
             stdio: self.stdio.clone(),
             files,
-            sanitizer,
+            // All-zero summaries (sanitized, nothing analyzed) report nothing.
+            sanitizer: self
+                .sanitizer
+                .as_ref()
+                .filter(|s| s.findings + s.events_analyzed > 0)
+                .cloned(),
             scheduler: self.scheduler,
             // Exploration runs offline, never over the live diff stream.
             explore: None,
@@ -684,13 +694,13 @@ impl Aggregator {
             "tfdarshan_job_read_bandwidth_mibps",
             "Read bandwidth over the job's union window, MiB/s.",
             "gauge",
-            |a: &JobAggregate| format!("{:.6}", a.report().io.read_bandwidth_mibps)
+            |a: &JobAggregate| format!("{:.6}", a.mibps(a.io.bytes_read))
         );
         per_job!(
             "tfdarshan_job_sanitizer_findings_total",
             "iosan findings reported by this job.",
             "counter",
-            |a: &JobAggregate| a.sanitizer.0
+            |a: &JobAggregate| a.sanitizer.as_ref().map_or(0, |s| s.findings)
         );
         per_job!(
             "tfdarshan_job_sched_peak_live_tasks",

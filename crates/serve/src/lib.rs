@@ -18,8 +18,8 @@
 //!   tenant cap with idle eviction.
 //! * [`sink`] — the job side: [`ServeSink`] numbers each rank's sessions
 //!   and publishes them through a [`Publisher`] (in-process
-//!   [`LocalPublisher`] or NDJSON-over-TCP [`TcpPublisher`]); it also
-//!   implements `probe::ProbeSink` for cheap live gauges off the spine.
+//!   [`LocalPublisher`] or NDJSON-over-TCP [`TcpPublisher`]). A job's live
+//!   totals between publications come from its Darshan runtime.
 //! * [`daemon`] — the transport shell: two `std::net` listeners (HTTP +
 //!   ingest) and a pump thread around a mutexed aggregator. No external
 //!   dependencies; the workspace is vendored/offline.
@@ -41,4 +41,4 @@ pub use aggregator::{
 };
 pub use daemon::{JobSummary, JobsListing, ServeConfig, ServeDaemon, ServeService};
 pub use http::http_get;
-pub use sink::{LiveCounters, LocalPublisher, Publisher, ServeSink, TcpPublisher};
+pub use sink::{LocalPublisher, Publisher, ServeSink, TcpPublisher};

@@ -8,13 +8,9 @@
 //! * [`TcpPublisher`] — NDJSON lines over the daemon's ingest socket,
 //!   the cross-process path real jobs would use.
 //!
-//! [`ServeSink`] sits on top: it carries the job id, numbers each rank's
-//! sessions, and also implements [`probe::ProbeSink`] so it can ride the
-//! probe spine for cheap *live* op/byte gauges between session
-//! publications. The `ProbeSink` impl is called on sim threads at flush
-//! points and therefore only touches its own atomics — no locks, no
-//! syscalls, no blocking (publishing itself happens from whatever thread
-//! calls [`ServeSink::publish_session`], never from `on_events`).
+//! [`ServeSink`] sits on top: it carries the job id and numbers each
+//! rank's sessions. A job's live op and byte totals between publications
+//! come from its Darshan runtime (`DarshanRuntime::totals`).
 
 use std::collections::HashMap;
 use std::io::{BufWriter, Write as _};
@@ -23,7 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use probe::{EventKind, IoEvent, ProbeSink};
 use tfdarshan::wire::SessionDiffMsg;
 use tfdarshan::{JobCtx, RankSession};
 
@@ -103,28 +98,12 @@ impl Publisher for TcpPublisher {
     }
 }
 
-/// Live op/byte counters folded straight off the probe spine.
-#[derive(Debug, Default)]
-pub struct LiveCounters {
-    /// POSIX reads observed.
-    pub reads: AtomicU64,
-    /// POSIX writes observed.
-    pub writes: AtomicU64,
-    /// Bytes read.
-    pub bytes_read: AtomicU64,
-    /// Bytes written.
-    pub bytes_written: AtomicU64,
-    /// Opens observed.
-    pub opens: AtomicU64,
-}
-
 /// The job-side adapter: owns the job id, per-rank sequence numbers, and
-/// the transport; optionally rides the probe spine for live gauges.
+/// the transport.
 pub struct ServeSink {
     job: String,
     publisher: Arc<dyn Publisher>,
     seqs: Mutex<HashMap<u32, u64>>,
-    live: LiveCounters,
     publish_errors: AtomicU64,
 }
 
@@ -135,7 +114,6 @@ impl ServeSink {
             job: job.into(),
             publisher,
             seqs: Mutex::new(HashMap::new()),
-            live: LiveCounters::default(),
             publish_errors: AtomicU64::new(0),
         }
     }
@@ -143,12 +121,6 @@ impl ServeSink {
     /// The job id this sink publishes under.
     pub fn job(&self) -> &str {
         &self.job
-    }
-
-    /// Live spine-derived counters (only advance while the sink is
-    /// registered on a probe bus).
-    pub fn live(&self) -> &LiveCounters {
-        &self.live
     }
 
     /// Transport failures seen so far (daemon-side drops are not
@@ -183,42 +155,5 @@ impl ServeSink {
             .filter_map(|rank| rank.session())
             .map(|session| self.publish_session(&session))
             .collect()
-    }
-}
-
-impl ProbeSink for ServeSink {
-    fn on_events(&self, events: &[IoEvent]) {
-        // Sim-thread context: own atomics only, relaxed is fine — these
-        // are monotone gauges, not synchronization.
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        let mut br = 0u64;
-        let mut bw = 0u64;
-        let mut opens = 0u64;
-        for e in events {
-            match e.kind {
-                EventKind::Read { len, .. } => {
-                    reads += 1;
-                    br += len;
-                }
-                EventKind::Write { len, .. } => {
-                    writes += 1;
-                    bw += len;
-                }
-                EventKind::Open { .. } => opens += 1,
-                _ => {}
-            }
-        }
-        if reads > 0 {
-            self.live.reads.fetch_add(reads, Ordering::Relaxed);
-            self.live.bytes_read.fetch_add(br, Ordering::Relaxed);
-        }
-        if writes > 0 {
-            self.live.writes.fetch_add(writes, Ordering::Relaxed);
-            self.live.bytes_written.fetch_add(bw, Ordering::Relaxed);
-        }
-        if opens > 0 {
-            self.live.opens.fetch_add(opens, Ordering::Relaxed);
-        }
     }
 }

@@ -50,6 +50,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard as PlMutexGuard, RwLock};
+use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
@@ -418,9 +419,11 @@ impl PartialOrd for Entry {
 }
 
 /// Scheduler counters, cheap enough to maintain unconditionally. Snapshot
-/// via [`Sim::stats`]; surfaced through `RunOutput` and the report JSON so
-/// scale experiments can see scheduler cost next to I/O counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// via [`Sim::stats`]; surfaced through `RunOutput` and, as this very type,
+/// the report JSON, so scale experiments can see scheduler cost next to
+/// I/O counters. The four exploration counters default to 0 when absent,
+/// so reports written before they existed still parse.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedStats {
     /// Carrier context switches (parked-thread handovers).
     pub switches: u64,
@@ -441,15 +444,19 @@ pub struct SchedStats {
     /// Decision points: dispatches where >1 task was runnable at the same
     /// virtual instant and an installed [`SchedulePolicy`] was consulted.
     /// Always 0 without a policy (the FIFO fast path does not look).
+    #[serde(default)]
     pub decision_points: u64,
     /// Schedules executed by an exploration harness. A single `Sim` never
     /// fills this; the `explore` crate aggregates it across runs so the
     /// report and the ascii overview share one source of truth.
+    #[serde(default)]
     pub schedules_run: u64,
     /// Schedules skipped by partial-order reduction during exploration.
+    #[serde(default)]
     pub schedules_pruned: u64,
     /// Maximum number of non-FIFO picks (preemptions) any explored
     /// schedule used.
+    #[serde(default)]
     pub max_preemptions_used: u64,
 }
 

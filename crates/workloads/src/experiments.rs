@@ -9,9 +9,7 @@ use std::time::Duration;
 use dstat_sim::{Dstat, DstatSample};
 use iosan::{IoSanitizer, SanitizerReport};
 use parking_lot::Mutex;
-use tfdarshan::{
-    DarshanTracerFactory, SchedStatsReport, TfDarshanConfig, TfDarshanReport, TfDarshanWrapper,
-};
+use tfdarshan::{DarshanTracerFactory, TfDarshanConfig, TfDarshanReport, TfDarshanWrapper};
 use tfsim::{
     fit, Callback, Dataset, FitResult, ModelCheckpoint, ModelSpec, Parallelism, ProfilerOptions,
     TensorBoardCallback, TfRuntime, XSpace,
@@ -162,7 +160,7 @@ pub struct RunOutput {
     pub sanitizer: Option<SanitizerReport>,
     /// Scheduler statistics of the run's simulation: context switches,
     /// event-task polls, task counts per flavor, run-calendar peaks.
-    pub scheduler: SchedStatsReport,
+    pub scheduler: simrt::SchedStats,
 }
 
 impl RunOutput {
@@ -454,7 +452,7 @@ pub fn run(w: Workload, cfg: RunConfig) -> RunOutput {
     }
 
     m.sim.run();
-    let scheduler = SchedStatsReport::from(m.sim.stats());
+    let scheduler = m.sim.stats();
 
     let fit = out_fit.lock().clone();
     let wall = *out_wall.lock();

@@ -9,9 +9,10 @@
 //! strings, and empty arrays and objects.
 
 use tf_darshan::iosan::{Category, Finding, SanitizerSummary, Segment, Severity};
+use tf_darshan::simrt::SchedStats;
 use tf_darshan::tfdarshan::analysis::{FileActivity, IoStats, StdioStats};
 use tf_darshan::tfdarshan::report::ExploreSummary;
-use tf_darshan::tfdarshan::{Recommendation, SchedStatsReport, TfDarshanReport};
+use tf_darshan::tfdarshan::{Recommendation, TfDarshanReport};
 
 /// Every fixture type in one tuple, written as one JSON array.
 type Fixture = (
@@ -78,7 +79,7 @@ fn fixture() -> Fixture {
             events_analyzed: 120,
             categories: vec!["data_race".into()],
         }),
-        scheduler: Some(SchedStatsReport {
+        scheduler: Some(SchedStats {
             switches: 17,
             fast_advances: 4,
             event_polls: 9,

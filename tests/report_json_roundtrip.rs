@@ -7,9 +7,10 @@
 use proptest::prelude::*;
 
 use tf_darshan::iosan::SanitizerSummary;
+use tf_darshan::simrt::SchedStats;
 use tf_darshan::tfdarshan::analysis::{FileActivity, IoStats, StdioStats};
 use tf_darshan::tfdarshan::wire::{SessionDiffMsg, WIRE_VERSION};
-use tf_darshan::tfdarshan::{SchedStatsReport, TfDarshanReport};
+use tf_darshan::tfdarshan::TfDarshanReport;
 
 /// Floats that print as short exact decimals (dyadic n/64), so
 /// `parse(print(x)) == x` holds bit-exactly and byte-stability is a fair
@@ -151,7 +152,7 @@ fn sanitizer() -> impl Strategy<Value = Option<SanitizerSummary>> {
     ]
 }
 
-fn scheduler() -> impl Strategy<Value = Option<SchedStatsReport>> {
+fn scheduler() -> impl Strategy<Value = Option<SchedStats>> {
     prop_oneof![
         Just(None),
         (
@@ -164,14 +165,14 @@ fn scheduler() -> impl Strategy<Value = Option<SchedStatsReport>> {
         )
             .prop_map(
                 |(switches, fast_advances, event_polls, carrier_spawns, a, b)| {
-                    Some(SchedStatsReport {
+                    Some(SchedStats {
                         switches,
                         fast_advances,
                         event_polls,
                         carrier_spawns,
                         event_spawns: a,
-                        peak_heap_depth: b,
-                        peak_live_tasks: a ^ b,
+                        peak_heap_depth: b as usize,
+                        peak_live_tasks: (a ^ b) as usize,
                         heap_compactions: switches.wrapping_add(b),
                         decision_points: a.wrapping_add(b),
                         schedules_run: a ^ switches,

@@ -10,10 +10,11 @@ use proptest::prelude::*;
 use serde_json::{json, Value};
 
 use tf_darshan::iosan::SanitizerSummary;
+use tf_darshan::simrt::SchedStats;
 use tf_darshan::tfdarshan::analysis::{FileActivity, IoStats, StdioStats};
 use tf_darshan::tfdarshan::report::ExploreSummary;
 use tf_darshan::tfdarshan::wire::{SessionDiffMsg, WIRE_VERSION};
-use tf_darshan::tfdarshan::{SchedStatsReport, TfDarshanReport};
+use tf_darshan::tfdarshan::TfDarshanReport;
 
 /// Dyadic floats, which print as exact short decimals.
 fn exact_f64() -> impl Strategy<Value = f64> {
@@ -108,14 +109,14 @@ fn msg() -> impl Strategy<Value = SessionDiffMsg> {
                         events_analyzed: r.next(),
                         categories: categories.clone(),
                     }),
-                    scheduler: sched.then(|| SchedStatsReport {
+                    scheduler: sched.then(|| SchedStats {
                         switches: r.next(),
                         fast_advances: r.next(),
                         event_polls: r.next(),
                         carrier_spawns: r.next(),
                         event_spawns: r.next(),
-                        peak_heap_depth: r.next(),
-                        peak_live_tasks: r.next(),
+                        peak_heap_depth: r.next() as usize,
+                        peak_live_tasks: r.next() as usize,
                         heap_compactions: r.next(),
                         decision_points: r.next(),
                         schedules_run: r.next(),
