@@ -975,6 +975,180 @@ mod tests {
         }
     }
 
+    /// Six tenants whose ids sort differently raw and escaped (`"` < `#`
+    /// but `\` > `#`; newline < space but `\` > space), with a sanitizer
+    /// summary, scheduler stats, drops, sequence gaps and nonzero
+    /// bandwidth gauges.
+    fn six_tenant_fleet() -> Aggregator {
+        let mut agg = Aggregator::new(AggregatorConfig {
+            queue_capacity: 2,
+            ..Default::default()
+        });
+        let ids = [
+            "alpha",
+            "\"quoted",
+            "#hash",
+            "back\\slash",
+            "line\nbreak",
+            "line break",
+        ];
+        for (i, id) in ids.iter().enumerate() {
+            let i = i as u64;
+            let mut m = msg(id, 0, 0, 1000 * (i + 1), 2.0 + i as f64);
+            m.report.io.writes = i;
+            m.report.io.bytes_written = 7 * i;
+            m.report.io.opens = 3 + i;
+            if i % 2 == 0 {
+                m.report.sanitizer = Some(iosan::SanitizerSummary {
+                    findings: i + 1,
+                    errors: 1,
+                    warnings: i,
+                    events_analyzed: 40,
+                    categories: vec!["data-race".into()],
+                });
+                m.report.scheduler = Some(simrt::SchedStats {
+                    switches: 11,
+                    peak_live_tasks: 5 + i as usize,
+                    ..Default::default()
+                });
+            }
+            agg.ingest(m);
+            // A second rank skipping two sequence numbers.
+            agg.ingest(msg(id, 1, 2, 3 << 20, 4.5 + i as f64));
+        }
+        // Overflow one tenant's queue so a drop shows up.
+        for seq in 3..6 {
+            agg.enqueue(msg("alpha", 0, seq, 10, 9.0));
+        }
+        agg.pump_to_empty();
+        agg
+    }
+
+    #[test]
+    fn metrics_text_is_pinned_for_six_tenants() {
+        let text = six_tenant_fleet().render_metrics();
+        assert_eq!(text, PINNED_METRICS, "got:\n{text}");
+    }
+
+    const PINNED_METRICS: &str = r##"# HELP tfdarshan_jobs_live Live tenants.
+# TYPE tfdarshan_jobs_live gauge
+tfdarshan_jobs_live 6
+# HELP tfdarshan_diffs_ingested_total Session diffs applied into rollups.
+# TYPE tfdarshan_diffs_ingested_total counter
+tfdarshan_diffs_ingested_total 14
+# HELP tfdarshan_diffs_dropped_total Session diffs dropped by per-tenant backpressure.
+# TYPE tfdarshan_diffs_dropped_total counter
+tfdarshan_diffs_dropped_total 1
+# HELP tfdarshan_wire_rejects_total Messages rejected for an unknown wire version.
+# TYPE tfdarshan_wire_rejects_total counter
+tfdarshan_wire_rejects_total 0
+# HELP tfdarshan_jobs_evicted_total Tenants evicted (cap overflow or idle).
+# TYPE tfdarshan_jobs_evicted_total counter
+tfdarshan_jobs_evicted_total 0
+# HELP tfdarshan_bytes_read_total Fleet-wide bytes read across all applied sessions.
+# TYPE tfdarshan_bytes_read_total counter
+tfdarshan_bytes_read_total 18895388
+# HELP tfdarshan_bytes_written_total Fleet-wide bytes written.
+# TYPE tfdarshan_bytes_written_total counter
+tfdarshan_bytes_written_total 105
+# HELP tfdarshan_job_sessions_total Sessions applied for this job.
+# TYPE tfdarshan_job_sessions_total counter
+tfdarshan_job_sessions_total{job="\"quoted"} 2
+tfdarshan_job_sessions_total{job="#hash"} 2
+tfdarshan_job_sessions_total{job="alpha"} 4
+tfdarshan_job_sessions_total{job="back\\slash"} 2
+tfdarshan_job_sessions_total{job="line\nbreak"} 2
+tfdarshan_job_sessions_total{job="line break"} 2
+# HELP tfdarshan_job_ranks Distinct ranks seen for this job.
+# TYPE tfdarshan_job_ranks gauge
+tfdarshan_job_ranks{job="\"quoted"} 2
+tfdarshan_job_ranks{job="#hash"} 2
+tfdarshan_job_ranks{job="alpha"} 2
+tfdarshan_job_ranks{job="back\\slash"} 2
+tfdarshan_job_ranks{job="line\nbreak"} 2
+tfdarshan_job_ranks{job="line break"} 2
+# HELP tfdarshan_job_bytes_read_total Bytes read by this job across its sessions.
+# TYPE tfdarshan_job_bytes_read_total counter
+tfdarshan_job_bytes_read_total{job="\"quoted"} 3147728
+tfdarshan_job_bytes_read_total{job="#hash"} 3148728
+tfdarshan_job_bytes_read_total{job="alpha"} 3146748
+tfdarshan_job_bytes_read_total{job="back\\slash"} 3149728
+tfdarshan_job_bytes_read_total{job="line\nbreak"} 3150728
+tfdarshan_job_bytes_read_total{job="line break"} 3151728
+# HELP tfdarshan_job_bytes_written_total Bytes written by this job.
+# TYPE tfdarshan_job_bytes_written_total counter
+tfdarshan_job_bytes_written_total{job="\"quoted"} 7
+tfdarshan_job_bytes_written_total{job="#hash"} 14
+tfdarshan_job_bytes_written_total{job="alpha"} 0
+tfdarshan_job_bytes_written_total{job="back\\slash"} 21
+tfdarshan_job_bytes_written_total{job="line\nbreak"} 28
+tfdarshan_job_bytes_written_total{job="line break"} 35
+# HELP tfdarshan_job_reads_total POSIX reads by this job.
+# TYPE tfdarshan_job_reads_total counter
+tfdarshan_job_reads_total{job="\"quoted"} 4
+tfdarshan_job_reads_total{job="#hash"} 4
+tfdarshan_job_reads_total{job="alpha"} 8
+tfdarshan_job_reads_total{job="back\\slash"} 4
+tfdarshan_job_reads_total{job="line\nbreak"} 4
+tfdarshan_job_reads_total{job="line break"} 4
+# HELP tfdarshan_job_writes_total POSIX writes by this job.
+# TYPE tfdarshan_job_writes_total counter
+tfdarshan_job_writes_total{job="\"quoted"} 1
+tfdarshan_job_writes_total{job="#hash"} 2
+tfdarshan_job_writes_total{job="alpha"} 0
+tfdarshan_job_writes_total{job="back\\slash"} 3
+tfdarshan_job_writes_total{job="line\nbreak"} 4
+tfdarshan_job_writes_total{job="line break"} 5
+# HELP tfdarshan_job_opens_total POSIX opens by this job.
+# TYPE tfdarshan_job_opens_total counter
+tfdarshan_job_opens_total{job="\"quoted"} 4
+tfdarshan_job_opens_total{job="#hash"} 5
+tfdarshan_job_opens_total{job="alpha"} 3
+tfdarshan_job_opens_total{job="back\\slash"} 6
+tfdarshan_job_opens_total{job="line\nbreak"} 7
+tfdarshan_job_opens_total{job="line break"} 8
+# HELP tfdarshan_job_dropped_total Diffs dropped for this tenant by backpressure.
+# TYPE tfdarshan_job_dropped_total counter
+tfdarshan_job_dropped_total{job="\"quoted"} 0
+tfdarshan_job_dropped_total{job="#hash"} 0
+tfdarshan_job_dropped_total{job="alpha"} 1
+tfdarshan_job_dropped_total{job="back\\slash"} 0
+tfdarshan_job_dropped_total{job="line\nbreak"} 0
+tfdarshan_job_dropped_total{job="line break"} 0
+# HELP tfdarshan_job_seq_gaps_total Sequence gaps detected in this job's stream.
+# TYPE tfdarshan_job_seq_gaps_total counter
+tfdarshan_job_seq_gaps_total{job="\"quoted"} 2
+tfdarshan_job_seq_gaps_total{job="#hash"} 2
+tfdarshan_job_seq_gaps_total{job="alpha"} 4
+tfdarshan_job_seq_gaps_total{job="back\\slash"} 2
+tfdarshan_job_seq_gaps_total{job="line\nbreak"} 2
+tfdarshan_job_seq_gaps_total{job="line break"} 2
+# HELP tfdarshan_job_read_bandwidth_mibps Read bandwidth over the job's union window, MiB/s.
+# TYPE tfdarshan_job_read_bandwidth_mibps gauge
+tfdarshan_job_read_bandwidth_mibps{job="\"quoted"} 0.857688
+tfdarshan_job_read_bandwidth_mibps{job="#hash"} 0.857960
+tfdarshan_job_read_bandwidth_mibps{job="alpha"} 0.375122
+tfdarshan_job_read_bandwidth_mibps{job="back\\slash"} 0.858233
+tfdarshan_job_read_bandwidth_mibps{job="line\nbreak"} 0.858505
+tfdarshan_job_read_bandwidth_mibps{job="line break"} 0.858778
+# HELP tfdarshan_job_sanitizer_findings_total iosan findings reported by this job.
+# TYPE tfdarshan_job_sanitizer_findings_total counter
+tfdarshan_job_sanitizer_findings_total{job="\"quoted"} 0
+tfdarshan_job_sanitizer_findings_total{job="#hash"} 3
+tfdarshan_job_sanitizer_findings_total{job="alpha"} 1
+tfdarshan_job_sanitizer_findings_total{job="back\\slash"} 0
+tfdarshan_job_sanitizer_findings_total{job="line\nbreak"} 5
+tfdarshan_job_sanitizer_findings_total{job="line break"} 0
+# HELP tfdarshan_job_sched_peak_live_tasks Last reported scheduler peak of concurrently live tasks.
+# TYPE tfdarshan_job_sched_peak_live_tasks gauge
+tfdarshan_job_sched_peak_live_tasks{job="\"quoted"} 0
+tfdarshan_job_sched_peak_live_tasks{job="#hash"} 7
+tfdarshan_job_sched_peak_live_tasks{job="alpha"} 5
+tfdarshan_job_sched_peak_live_tasks{job="back\\slash"} 0
+tfdarshan_job_sched_peak_live_tasks{job="line\nbreak"} 9
+tfdarshan_job_sched_peak_live_tasks{job="line break"} 0
+"##;
+
     #[test]
     fn deterministic_for_identical_input() {
         let feed = |agg: &mut Aggregator| {
