@@ -12,21 +12,122 @@
 //! per-task wall time at 100 (allowing cache effects and heap growth —
 //! "near-flat", not "bit-identical"), and OS threads bounded by a
 //! constant far below the fleet size at every point.
+//!
+//! Handoff gate: two carriers ping-pong over a simrt channel, and the same
+//! process times the scheduler-wide shape simrt replaced (one mutex, one
+//! condvar, `notify_all` under the lock, two players plus one idle
+//! waiter). Each carrier switch must cost at most 0.6× a reference switch.
+//! The gate is enforced only when the process is pinned to one CPU
+//! (`taskset -c 0`): unpinned, cross-CPU wake-up latency dominates and the
+//! ratio measures the host's CPU scheduler more than the handoff.
 
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use simrt::sync::channel;
+use simrt::Sim;
 use workloads::sched_scale::{os_threads, run_sched_scale, CARRIER_POOL};
 
 const FLEETS: [usize; 5] = [100, 300, 1_000, 3_000, 10_000];
 const ROUNDS: usize = 3;
+/// Ping-pong round trips per handoff sample (two switches each).
+const PING_PONGS: u64 = 20_000;
+/// Handoff samples per side; the best one counts.
+const HANDOFF_SAMPLES: usize = 3;
+/// Largest allowed simrt/reference cost ratio per switch.
+const HANDOFF_BOUND: f64 = 0.6;
 
-/// `VmRSS:` of this process in KiB, from `/proc/self/status`.
-fn vm_rss_kib() -> Option<u64> {
+/// The value of `key` (e.g. `VmRSS:`) in `/proc/self/status`, trimmed.
+fn proc_status(key: &str) -> Option<String> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()
-        .find_map(|l| l.strip_prefix("VmRSS:"))
-        .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse().ok())
+        .find_map(|l| l.strip_prefix(key))
+        .map(|v| v.trim().to_string())
+}
+
+/// `VmRSS:` of this process in KiB.
+fn vm_rss_kib() -> Option<u64> {
+    proc_status("VmRSS:")?
+        .trim_end_matches(" kB")
+        .trim()
+        .parse()
+        .ok()
+}
+
+/// Host µs per carrier switch: two carriers bounce a token over a pair of
+/// simrt channels, every `recv` handing the running slot to the other.
+fn simrt_us_per_switch() -> f64 {
+    let sim = Sim::new();
+    let (ping_tx, ping_rx) = channel::<u64>(None);
+    let (pong_tx, pong_rx) = channel::<u64>(None);
+    sim.spawn("ping", move || {
+        for i in 0..PING_PONGS {
+            ping_tx.send(i).unwrap();
+            assert_eq!(pong_rx.recv(), Some(i));
+        }
+    });
+    sim.spawn("pong", move || {
+        while let Some(i) = ping_rx.recv() {
+            pong_tx.send(i).unwrap();
+        }
+    });
+    let t = Instant::now();
+    sim.run();
+    let wall = t.elapsed();
+    let switches = sim.stats().switches;
+    assert!(
+        switches >= 2 * PING_PONGS,
+        "ping-pong switched {switches} times"
+    );
+    wall.as_secs_f64() * 1e6 / switches as f64
+}
+
+/// Host µs per switch of the replaced shape: one mutex guarding whose turn
+/// it is, one condvar, `notify_all` under the lock at every turn, with two
+/// players and one waiter that only waits for the end.
+fn reference_us_per_switch() -> f64 {
+    // (turn, done)
+    let shared = Arc::new((Mutex::new((0u64, false)), Condvar::new()));
+    let switches = 2 * PING_PONGS;
+    let idle = {
+        let shared = shared.clone();
+        std::thread::spawn(move || {
+            let (m, cv) = &*shared;
+            let mut st = m.lock().unwrap();
+            while !st.1 {
+                st = cv.wait(st).unwrap();
+            }
+        })
+    };
+    let t = Instant::now();
+    let players: Vec<_> = (0..2u64)
+        .map(|me| {
+            let shared = shared.clone();
+            std::thread::spawn(move || {
+                let (m, cv) = &*shared;
+                let mut st = m.lock().unwrap();
+                loop {
+                    while st.0 % 2 != me && st.0 < switches {
+                        st = cv.wait(st).unwrap();
+                    }
+                    if st.0 >= switches {
+                        return;
+                    }
+                    st.0 += 1;
+                    cv.notify_all();
+                }
+            })
+        })
+        .collect();
+    for p in players {
+        p.join().unwrap();
+    }
+    let wall = t.elapsed();
+    shared.0.lock().unwrap().1 = true;
+    shared.1.notify_all();
+    idle.join().unwrap();
+    wall.as_secs_f64() * 1e6 / switches as f64
 }
 
 struct Point {
@@ -130,6 +231,36 @@ fn main() {
         bounded,
     );
 
+    // Alternate the sides so host drift hits both alike; keep each best.
+    let (mut simrt_us, mut reference_us) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..HANDOFF_SAMPLES {
+        simrt_us = simrt_us.min(simrt_us_per_switch());
+        reference_us = reference_us.min(reference_us_per_switch());
+    }
+    let handoff_ratio = simrt_us / reference_us;
+    // The CPUs this process may run on: one number when pinned.
+    let cpus = proc_status("Cpus_allowed_list:");
+    let pinned = cpus.as_deref().is_some_and(|c| c.parse::<u32>().is_ok());
+    let handoff_ok = handoff_ratio <= HANDOFF_BOUND;
+    println!(
+        "\ncarrier handoff, {} switches: simrt {simrt_us:.2} us, notify_all reference {reference_us:.2} us",
+        2 * PING_PONGS
+    );
+    bench::row(
+        "carrier switch vs notify_all handoff",
+        &format!("<= {HANDOFF_BOUND}x pinned"),
+        &format!(
+            "{handoff_ratio:.2}x on CPUs {}{}",
+            cpus.as_deref().unwrap_or("n/a"),
+            if pinned {
+                ""
+            } else {
+                " (unpinned: not enforced)"
+            }
+        ),
+        handoff_ok || !pinned,
+    );
+
     bench::save_json(
         "ablation_sched_scaling",
         &serde_json::json!({
@@ -148,8 +279,22 @@ fn main() {
             })).collect::<Vec<_>>(),
             "per_task_flat": flat,
             "os_threads_bounded": bounded,
+            "handoff": {
+                "switches": 2 * PING_PONGS,
+                "simrt_us_per_switch": simrt_us,
+                "reference_us_per_switch": reference_us,
+                "ratio": handoff_ratio,
+                "bound": HANDOFF_BOUND,
+                "pinned": pinned,
+            },
         }),
     );
     assert!(flat, "per-task overhead grew superlinearly");
     assert!(bounded, "OS-thread count scaled with the simulated fleet");
+    if pinned && !handoff_ok {
+        eprintln!(
+            "carrier handoff costs {handoff_ratio:.2}x the notify_all reference (bound {HANDOFF_BOUND}x)"
+        );
+        std::process::exit(1);
+    }
 }

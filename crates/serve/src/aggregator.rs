@@ -20,6 +20,7 @@
 //!   evicts the longest-idle tenant (and `idle_ticks`, when nonzero,
 //!   additionally reaps tenants that stopped publishing).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use tfdarshan::analysis::{FileActivity, IoStats, StdioStats};
@@ -570,151 +571,219 @@ impl Aggregator {
     }
 
     /// Render the Prometheus text exposition of the whole aggregator
-    /// (fleet counters first, then per-job families, jobs sorted).
+    /// (fleet counters first, then per-job families, jobs sorted by raw id).
+    ///
+    /// One scrape sorts the tenants once, escapes each id once and writes
+    /// into one buffer sized up front; only the bandwidth gauge goes
+    /// through `core::fmt`.
     pub fn render_metrics(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
         let f = &self.fleet;
-        let _ = writeln!(out, "# HELP tfdarshan_jobs_live Live tenants.");
-        let _ = writeln!(out, "# TYPE tfdarshan_jobs_live gauge");
-        let _ = writeln!(out, "tfdarshan_jobs_live {}", self.tenants.len());
-        for (name, help, v) in [
+        let fleet: [(&str, &str, &str, u64); 7] = [
+            (
+                "tfdarshan_jobs_live",
+                "Live tenants.",
+                "gauge",
+                self.tenants.len() as u64,
+            ),
             (
                 "tfdarshan_diffs_ingested_total",
                 "Session diffs applied into rollups.",
+                "counter",
                 f.ingested,
             ),
             (
                 "tfdarshan_diffs_dropped_total",
                 "Session diffs dropped by per-tenant backpressure.",
+                "counter",
                 f.dropped,
             ),
             (
                 "tfdarshan_wire_rejects_total",
                 "Messages rejected for an unknown wire version.",
+                "counter",
                 f.wire_rejects,
             ),
             (
                 "tfdarshan_jobs_evicted_total",
                 "Tenants evicted (cap overflow or idle).",
+                "counter",
                 f.evicted,
             ),
             (
                 "tfdarshan_bytes_read_total",
                 "Fleet-wide bytes read across all applied sessions.",
+                "counter",
                 f.bytes_read,
             ),
             (
                 "tfdarshan_bytes_written_total",
                 "Fleet-wide bytes written.",
+                "counter",
                 f.bytes_written,
             ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
+        ];
+        let mut jobs: Vec<(&str, Cow<'_, str>, &JobAggregate)> = self
+            .tenants
+            .iter()
+            .map(|(id, t)| (id.as_str(), label_escape(id), &t.agg))
+            .collect();
+        jobs.sort_unstable_by(|a, b| a.0.cmp(b.0));
 
-        let ids = self.job_ids();
-        let emit_family = |out: &mut String, name: &str, help: &str, kind: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-        };
-        macro_rules! per_job {
-            ($name:literal, $help:literal, $kind:literal, $get:expr) => {
-                emit_family(&mut out, $name, $help, $kind);
-                for id in &ids {
-                    let a = &self.tenants[id].agg;
-                    #[allow(clippy::redundant_closure_call)]
-                    let v = ($get)(a);
-                    let _ = writeln!(
-                        out,
-                        concat!($name, "{{job=\"{}\"}} {}"),
-                        label_escape(id),
-                        v
-                    );
-                }
-            };
+        // Every line is a header or `name{job="<label>"} <value>` with a
+        // value of at most 20 digits (the gauge's `{:.6}` fits too, short
+        // of absurd rates); the slack covers lines callers append.
+        let headers =
+            |name: &str, help: &str, kind: &str| 16 + 2 * name.len() + help.len() + kind.len();
+        let labels: usize = jobs.iter().map(|j| j.1.len()).sum();
+        let capacity = 256
+            + fleet
+                .iter()
+                .map(|&(n, h, k, _)| headers(n, h, k) + n.len() + 22)
+                .sum::<usize>()
+            + JOB_FAMILIES
+                .iter()
+                .map(|&(n, h, k, _)| headers(n, h, k) + jobs.len() * (n.len() + 32) + labels)
+                .sum::<usize>();
+        let mut out = String::with_capacity(capacity);
+
+        for (name, help, kind, v) in fleet {
+            push_family(&mut out, name, help, kind);
+            out.push_str(name);
+            out.push(' ');
+            push_u64(&mut out, v);
+            out.push('\n');
         }
-        per_job!(
-            "tfdarshan_job_sessions_total",
-            "Sessions applied for this job.",
-            "counter",
-            |a: &JobAggregate| a.sessions
-        );
-        per_job!(
-            "tfdarshan_job_ranks",
-            "Distinct ranks seen for this job.",
-            "gauge",
-            |a: &JobAggregate| a.ranks.len()
-        );
-        per_job!(
-            "tfdarshan_job_bytes_read_total",
-            "Bytes read by this job across its sessions.",
-            "counter",
-            |a: &JobAggregate| a.io.bytes_read
-        );
-        per_job!(
-            "tfdarshan_job_bytes_written_total",
-            "Bytes written by this job.",
-            "counter",
-            |a: &JobAggregate| a.io.bytes_written
-        );
-        per_job!(
-            "tfdarshan_job_reads_total",
-            "POSIX reads by this job.",
-            "counter",
-            |a: &JobAggregate| a.io.reads
-        );
-        per_job!(
-            "tfdarshan_job_writes_total",
-            "POSIX writes by this job.",
-            "counter",
-            |a: &JobAggregate| a.io.writes
-        );
-        per_job!(
-            "tfdarshan_job_opens_total",
-            "POSIX opens by this job.",
-            "counter",
-            |a: &JobAggregate| a.io.opens
-        );
-        per_job!(
-            "tfdarshan_job_dropped_total",
-            "Diffs dropped for this tenant by backpressure.",
-            "counter",
-            |a: &JobAggregate| a.dropped
-        );
-        per_job!(
-            "tfdarshan_job_seq_gaps_total",
-            "Sequence gaps detected in this job's stream.",
-            "counter",
-            |a: &JobAggregate| a.seq_gaps
-        );
-        per_job!(
-            "tfdarshan_job_read_bandwidth_mibps",
-            "Read bandwidth over the job's union window, MiB/s.",
-            "gauge",
-            |a: &JobAggregate| format!("{:.6}", a.mibps(a.io.bytes_read))
-        );
-        per_job!(
-            "tfdarshan_job_sanitizer_findings_total",
-            "iosan findings reported by this job.",
-            "counter",
-            |a: &JobAggregate| a.sanitizer.as_ref().map_or(0, |s| s.findings)
-        );
-        per_job!(
-            "tfdarshan_job_sched_peak_live_tasks",
-            "Last reported scheduler peak of concurrently live tasks.",
-            "gauge",
-            |a: &JobAggregate| a.scheduler.map(|s| s.peak_live_tasks).unwrap_or(0)
-        );
+        for &(name, help, kind, push_value) in JOB_FAMILIES {
+            push_family(&mut out, name, help, kind);
+            for (_, label, agg) in &jobs {
+                out.push_str(name);
+                out.push_str("{job=\"");
+                out.push_str(label);
+                out.push_str("\"} ");
+                push_value(&mut out, agg);
+                out.push('\n');
+            }
+        }
         out
     }
 }
 
-/// Escape a Prometheus label value (backslash, double quote, newline).
-pub fn label_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Writes one per-job sample value.
+type PushValue = fn(&mut String, &JobAggregate);
+
+/// The per-job `/metrics` families, in exposition order: name, help, type
+/// and the value each tenant contributes.
+const JOB_FAMILIES: &[(&str, &str, &str, PushValue)] = &[
+    (
+        "tfdarshan_job_sessions_total",
+        "Sessions applied for this job.",
+        "counter",
+        |o, a| push_u64(o, a.sessions),
+    ),
+    (
+        "tfdarshan_job_ranks",
+        "Distinct ranks seen for this job.",
+        "gauge",
+        |o, a| push_u64(o, a.ranks.len() as u64),
+    ),
+    (
+        "tfdarshan_job_bytes_read_total",
+        "Bytes read by this job across its sessions.",
+        "counter",
+        |o, a| push_u64(o, a.io.bytes_read),
+    ),
+    (
+        "tfdarshan_job_bytes_written_total",
+        "Bytes written by this job.",
+        "counter",
+        |o, a| push_u64(o, a.io.bytes_written),
+    ),
+    (
+        "tfdarshan_job_reads_total",
+        "POSIX reads by this job.",
+        "counter",
+        |o, a| push_u64(o, a.io.reads),
+    ),
+    (
+        "tfdarshan_job_writes_total",
+        "POSIX writes by this job.",
+        "counter",
+        |o, a| push_u64(o, a.io.writes),
+    ),
+    (
+        "tfdarshan_job_opens_total",
+        "POSIX opens by this job.",
+        "counter",
+        |o, a| push_u64(o, a.io.opens),
+    ),
+    (
+        "tfdarshan_job_dropped_total",
+        "Diffs dropped for this tenant by backpressure.",
+        "counter",
+        |o, a| push_u64(o, a.dropped),
+    ),
+    (
+        "tfdarshan_job_seq_gaps_total",
+        "Sequence gaps detected in this job's stream.",
+        "counter",
+        |o, a| push_u64(o, a.seq_gaps),
+    ),
+    (
+        "tfdarshan_job_read_bandwidth_mibps",
+        "Read bandwidth over the job's union window, MiB/s.",
+        "gauge",
+        |o, a| {
+            use std::fmt::Write as _;
+            let _ = write!(o, "{:.6}", a.mibps(a.io.bytes_read));
+        },
+    ),
+    (
+        "tfdarshan_job_sanitizer_findings_total",
+        "iosan findings reported by this job.",
+        "counter",
+        |o, a| push_u64(o, a.sanitizer.as_ref().map_or(0, |s| s.findings)),
+    ),
+    (
+        "tfdarshan_job_sched_peak_live_tasks",
+        "Last reported scheduler peak of concurrently live tasks.",
+        "gauge",
+        |o, a| push_u64(o, a.scheduler.map_or(0, |s| s.peak_live_tasks as u64)),
+    ),
+];
+
+/// The `# HELP` and `# TYPE` lines of one family.
+fn push_family(out: &mut String, name: &str, help: &str, kind: &str) {
+    for (tag, text) in [("# HELP ", help), ("# TYPE ", kind)] {
+        out.push_str(tag);
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(text);
+        out.push('\n');
+    }
+}
+
+/// Decimal digits of `v`, without `core::fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Escape a Prometheus label value (backslash, double quote, newline);
+/// borrows when there is nothing to escape.
+pub fn label_escape(s: &str) -> Cow<'_, str> {
+    if !s.contains(['\\', '"', '\n']) {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 8);
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -723,7 +792,7 @@ pub fn label_escape(s: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -998,7 +1067,7 @@ mod tests {
             m.report.io.writes = i;
             m.report.io.bytes_written = 7 * i;
             m.report.io.opens = 3 + i;
-            if i % 2 == 0 {
+            if i.is_multiple_of(2) {
                 m.report.sanitizer = Some(iosan::SanitizerSummary {
                     findings: i + 1,
                     errors: 1,

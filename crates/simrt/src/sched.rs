@@ -47,9 +47,10 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard as PlMutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard as PlMutexGuard, RwLock};
 use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
@@ -350,7 +351,7 @@ where
 /// Which execution flavor a task uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Flavor {
-    /// Parked OS thread, resumed by condvar handover.
+    /// Parked OS thread, resumed by a targeted `unpark` of that thread alone.
     Carrier,
     /// Stackless state machine, polled inline by the dispatch loop.
     Event,
@@ -392,6 +393,12 @@ struct TaskInfo {
     /// The state machine of an event task, parked here between polls.
     /// Taken out (so the scheduler lock can be released) while polling.
     machine: Option<Box<dyn EventTask>>,
+    /// A carrier's OS thread, the one a dispatch unparks. Set by that
+    /// thread itself, under the state lock, before its first check for its
+    /// turn; `None` until then (a dispatch that finds it unset unparks
+    /// nobody: the thread sees `running` when it registers) and for event
+    /// tasks.
+    thread: Option<Thread>,
 }
 
 /// An entry in the run calendar. Ordered by (wake time, sequence) so that
@@ -476,12 +483,15 @@ struct SchedState {
     started: bool,
     /// First panic message observed in any simulated task; poisons the sim.
     poison: Option<String>,
+    /// The thread parked in [`Sim::run`], woken only when the last task
+    /// finishes, on poison, or when the scheduler goes idle.
+    host: Option<Thread>,
     stats: SchedStats,
 }
 
 /// What `dispatch_next` produced.
 enum Dispatch {
-    /// A carrier was marked running; its parked thread must be notified.
+    /// A carrier was marked running; its parked thread must be unparked.
     Carrier,
     /// An event task was marked running; the caller must poll its machine.
     Event(Box<dyn EventTask>),
@@ -491,7 +501,6 @@ enum Dispatch {
 
 pub(crate) struct SimInner {
     state: Mutex<SchedState>,
-    cv: Condvar,
     /// Observer for synchronization events ([`Sim::set_sync_observer`]).
     sync_observer: RwLock<Option<Arc<dyn SyncObserver>>>,
     /// Cheap pre-check so [`emit_sync`] costs one relaxed load when no
@@ -506,7 +515,7 @@ pub(crate) struct SimInner {
     /// clock advances (dispatch, sleep fast path). Lets [`now`]/[`try_now`]
     /// on the running simulated thread read the clock without taking the
     /// scheduler lock: the store always happens-before the running task's
-    /// reads (the dispatch handshake goes through the state mutex/condvar),
+    /// reads (a dispatched carrier sees its turn under the state mutex),
     /// and nothing can advance the clock while that task runs.
     clock: AtomicU64,
 }
@@ -734,7 +743,7 @@ impl SimInner {
 /// out: event tasks are polled inline on the calling OS thread (scheduler
 /// lock released for the poll, [`run_switch_hook`] fired after each — a
 /// poll boundary is a genuine handover); the loop returns `true` as soon as
-/// a carrier is dispatched (the caller notifies its parked thread) and
+/// a carrier is dispatched (the caller unparks its thread) and
 /// `false` when nothing is runnable (the caller runs the deadlock check).
 ///
 /// Every handover point pumps: blocking carriers, finishing tasks, and the
@@ -749,8 +758,8 @@ fn pump(inner: &Arc<SimInner>, st: &mut PlMutexGuard<'_, SchedState>) -> bool {
         let dispatched = SimInner::dispatch_next(inner, st);
         if !matches!(dispatched, Dispatch::Idle) {
             // Publish the (possibly advanced) clock before the dispatched
-            // task can observe it; the mutex/condvar handshake orders the
-            // store ahead of the task's relaxed reads.
+            // task can observe it; the state mutex, under which the task
+            // sees its turn, orders the store ahead of its relaxed reads.
             inner.clock.store(st.now.as_nanos(), Ordering::Relaxed);
         }
         let mut machine = match dispatched {
@@ -834,6 +843,66 @@ fn requeue_event(st: &mut SchedState, tid: TaskId, machine: Box<dyn EventTask>, 
     info.state = TaskState::Ready;
     info.machine = Some(machine);
     SimInner::push_ready(st, tid, wake);
+}
+
+/// The OS threads a handover wakes: chosen under the scheduler lock,
+/// unparked once it is released, so a woken thread does not run only to
+/// block again on the lock its waker still holds.
+enum Wake {
+    Nobody,
+    One(Thread),
+    Everyone(Vec<Thread>),
+}
+
+impl Wake {
+    /// Who runs next after a handover that left `st` as it is: the carrier
+    /// just dispatched (nobody when that is `me`, who simply keeps going),
+    /// the host once nothing is running (the last task finished or the
+    /// scheduler went idle), and every registered thread on poison.
+    fn after_handover(st: &SchedState, me: Option<TaskId>) -> Wake {
+        if st.poison.is_some() {
+            let carriers = st
+                .tasks
+                .values()
+                .filter(|i| i.state != TaskState::Finished)
+                .filter_map(|i| i.thread.clone());
+            return Wake::Everyone(carriers.chain(st.host.clone()).collect());
+        }
+        let next = match st.running {
+            Some(tid) if Some(tid) == me => None,
+            Some(tid) => st.tasks.get(&tid).and_then(|i| i.thread.clone()),
+            None => st.host.clone(),
+        };
+        next.map_or(Wake::Nobody, Wake::One)
+    }
+
+    fn unpark(self) {
+        match self {
+            Wake::Nobody => {}
+            Wake::One(t) => t.unpark(),
+            Wake::Everyone(ts) => ts.iter().for_each(Thread::unpark),
+        }
+    }
+}
+
+/// The carrier half of a handover: wake whoever the pump just chose, then
+/// park until the scheduler hands `me` the running slot again or poisons.
+///
+/// No wake-up is lost. `me` is registered and checks `running` under the
+/// state lock; whoever later makes `me` the running task does so under that
+/// lock and unparks `me` after releasing it, and the park token covers an
+/// `unpark` that lands between this thread's unlock and its `park`.
+fn hand_over_and_wait(st: &mut PlMutexGuard<'_, SchedState>, me: TaskId) {
+    let mut wake = Wake::after_handover(st, Some(me));
+    while st.running != Some(me) && st.poison.is_none() {
+        let next = std::mem::replace(&mut wake, Wake::Nobody);
+        st.unlocked(|| {
+            next.unpark();
+            std::thread::park();
+        });
+    }
+    // Poisoned before parking: release every registered thread.
+    wake.unpark();
 }
 
 /// A deterministic virtual-time simulation.
@@ -931,9 +1000,9 @@ impl Sim {
                     live: 0,
                     started: false,
                     poison: None,
+                    host: None,
                     stats: SchedStats::default(),
                 }),
-                cv: Condvar::new(),
                 sync_observer: RwLock::new(None),
                 sync_active: AtomicBool::new(false),
                 schedule_policy: RwLock::new(None),
@@ -1008,6 +1077,7 @@ impl Sim {
                     join_waiters: Vec::new(),
                     wait_ctx: None,
                     machine: None,
+                    thread: None,
                 },
             );
             let now = st.now;
@@ -1028,14 +1098,20 @@ impl Sim {
             .name(format!("sim:{name}"))
             .spawn(move || {
                 CURRENT.with(|c| *c.borrow_mut() = Some((carrier_inner.clone(), tid)));
-                // Wait for our first dispatch.
+                // Register this thread as the one a dispatch unparks, then
+                // wait for our first dispatch. Registering and checking under
+                // one lock hold means a dispatch that ran before registration
+                // is seen here, and one after it unparks us.
                 {
                     let mut st = carrier_inner.state.lock();
+                    let info = st.tasks.get_mut(&tid).expect("spawned task");
+                    info.thread = Some(std::thread::current());
                     while st.running != Some(tid) && st.poison.is_none() {
-                        carrier_inner.cv.wait(&mut st);
+                        st.unlocked(std::thread::park);
                     }
                     if st.poison.is_some() && st.running != Some(tid) {
                         // Simulation died before we ever ran; unwind quietly.
+                        drop(st);
                         finish_task(&carrier_inner, tid, None);
                         return;
                     }
@@ -1094,6 +1170,7 @@ impl Sim {
                     join_waiters: Vec::new(),
                     wait_ctx: None,
                     machine: Some(Box::new(machine)),
+                    thread: None,
                 },
             );
             let now = st.now;
@@ -1121,36 +1198,33 @@ impl Sim {
     /// Propagates the first panic raised in any simulated task, and panics
     /// on virtual-time deadlock (live tasks, none runnable).
     pub fn run(&self) {
-        {
-            let mut st = self.inner.state.lock();
-            assert!(!st.started, "Sim::run called twice");
-            st.started = true;
-            if st.running.is_none() {
-                if pump(&self.inner, &mut st) {
-                    self.inner.cv.notify_all();
-                } else {
-                    SimInner::check_deadlock(&mut st);
-                }
-            }
-        }
         let mut st = self.inner.state.lock();
+        assert!(!st.started, "Sim::run called twice");
+        st.started = true;
+        st.host = Some(std::thread::current());
         while st.live > 0 && st.poison.is_none() {
-            self.inner.cv.wait(&mut st);
-            // Belt and braces: if we were woken with the scheduler idle
-            // (e.g. a host-side spawn while everything was parked), drive
-            // the calendar from here.
-            if st.running.is_none() && st.live > 0 && st.poison.is_none() {
-                if pump(&self.inner, &mut st) {
-                    self.inner.cv.notify_all();
-                } else {
-                    SimInner::check_deadlock(&mut st);
-                }
+            if st.running.is_some() {
+                // Woken (under the same no-lost-wake-up argument as a
+                // carrier) when the last task finishes, on poison, or when
+                // the scheduler goes idle.
+                st.unlocked(std::thread::park);
+                continue;
+            }
+            // The scheduler is idle (at the start, or a handover left
+            // nothing running with tasks still live): drive the calendar.
+            if pump(&self.inner, &mut st) {
+                let wake = Wake::after_handover(&st, None);
+                st.unlocked(|| wake.unpark());
+            } else {
+                SimInner::check_deadlock(&mut st);
             }
         }
+        st.host = None;
         if let Some(msg) = st.poison.clone() {
-            drop(st);
             // Release any carriers still parked so their OS threads exit.
-            self.inner.cv.notify_all();
+            let wake = Wake::after_handover(&st, None);
+            drop(st);
+            wake.unpark();
             panic!("{msg}");
         }
     }
@@ -1238,7 +1312,9 @@ fn finish_task(inner: &Arc<SimInner>, tid: TaskId, panic_msg: Option<String>) {
             SimInner::check_deadlock(&mut st);
         }
     }
-    inner.cv.notify_all();
+    let wake = Wake::after_handover(&st, Some(tid));
+    drop(st);
+    wake.unpark();
 }
 
 /// Handle to a spawned carrier task.
@@ -1436,10 +1512,7 @@ pub fn sleep(d: Duration) {
         SimInner::push_ready(&mut st, tid, wake);
         st.running = None;
         pump(inner, &mut st);
-        inner.cv.notify_all();
-        while st.running != Some(tid) && st.poison.is_none() {
-            inner.cv.wait(&mut st);
-        }
+        hand_over_and_wait(&mut st, tid);
         SimInner::poison_check(&st);
     });
 }
@@ -1473,10 +1546,7 @@ pub fn yield_now() {
         SimInner::push_ready(&mut st, tid, now);
         st.running = None;
         pump(inner, &mut st);
-        inner.cv.notify_all();
-        while st.running != Some(tid) && st.poison.is_none() {
-            inner.cv.wait(&mut st);
-        }
+        hand_over_and_wait(&mut st, tid);
         SimInner::poison_check(&st);
     });
 }
@@ -1521,10 +1591,7 @@ pub fn block(deadline: Option<SimTime>) -> WakeReason {
         if !pump(inner, &mut st) {
             SimInner::check_deadlock(&mut st);
         }
-        inner.cv.notify_all();
-        while st.running != Some(tid) && st.poison.is_none() {
-            inner.cv.wait(&mut st);
-        }
+        hand_over_and_wait(&mut st, tid);
         SimInner::poison_check(&st);
         let info = st.tasks.get_mut(&tid).expect("unknown task");
         info.wait_ctx = None;
@@ -2172,5 +2239,129 @@ mod tests {
     fn schedule_policy_out_of_range_choice_is_clamped() {
         let (order, _) = race_order(Some(Arc::new(PickAtRendezvous(usize::MAX))));
         assert_eq!(order, vec!["c", "b", "a"]);
+    }
+
+    // --- Targeted handoff: every test fails on a timeout instead of hanging.
+
+    const HANDOFF_TIMEOUT: Duration = Duration::from_secs(30);
+
+    /// Run `sim` on its own OS thread and return how `Sim::run` ended
+    /// (`Err` carries its panic message); a run that hangs fails the test.
+    fn run_bounded(sim: &Sim) -> Result<(), String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sim = sim.clone();
+        std::thread::spawn(move || {
+            let r = catch_unwind(AssertUnwindSafe(|| sim.run()));
+            let _ = tx.send(r.map_err(|e| panic_message(&e)));
+        });
+        rx.recv_timeout(HANDOFF_TIMEOUT).expect("Sim::run hung")
+    }
+
+    /// Join every carrier's OS thread from a watcher thread that reports on
+    /// a host-side channel; a carrier whose thread never exits fails the
+    /// test. The tasks' own results (a panic, or no result for a carrier
+    /// that never ran) do not matter here.
+    fn assert_carrier_threads_exit(handles: Vec<JoinHandle<()>>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let n = handles.len();
+        for h in handles {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let id = h.id();
+                let _ = catch_unwind(AssertUnwindSafe(|| h.join()));
+                let _ = tx.send(id);
+            });
+        }
+        for _ in 0..n {
+            rx.recv_timeout(HANDOFF_TIMEOUT)
+                .expect("a carrier's OS thread did not exit");
+        }
+    }
+
+    #[test]
+    fn carrier_panic_releases_carriers_parked_anywhere() {
+        let sim = Sim::new();
+        let mut handles = vec![
+            sim.spawn("sleeper", || sleep(Duration::from_secs(5))),
+            sim.spawn("blocker", || {
+                block(None);
+            }),
+        ];
+        let unborn: Arc<Mutex<Option<JoinHandle<()>>>> = Arc::new(Mutex::new(None));
+        let slot = unborn.clone();
+        let s2 = sim.clone();
+        handles.push(sim.spawn("boom", move || {
+            sleep(Duration::from_millis(1));
+            // Ready but never dispatched: the panic comes first.
+            *slot.lock() = Some(s2.spawn("unborn", || unreachable!("never dispatched")));
+            panic!("boom at 1ms");
+        }));
+        let err = run_bounded(&sim).unwrap_err();
+        assert_eq!(err, "simulated thread 'boom' panicked: boom at 1ms");
+        handles.push(unborn.lock().take().expect("boom spawned it"));
+        assert_carrier_threads_exit(handles);
+    }
+
+    #[test]
+    fn deadlock_releases_parked_carriers() {
+        let sim = Sim::new();
+        let handles = (0..3u64)
+            .map(|i| {
+                sim.spawn(format!("w{i}"), move || {
+                    sleep(Duration::from_millis(i));
+                    block(None);
+                })
+            })
+            .collect();
+        let err = run_bounded(&sim).unwrap_err();
+        assert!(
+            err.starts_with("virtual-time deadlock: 3 live task(s)"),
+            "{err}"
+        );
+        assert_carrier_threads_exit(handles);
+    }
+
+    #[test]
+    fn carrier_dispatched_before_its_thread_registers_still_runs() {
+        // The parent blocks right after each spawn, so the child is
+        // dispatched at once, before or after its OS thread registered.
+        const ROUNDS: usize = 200;
+        let sim = Sim::new();
+        let s2 = sim.clone();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let ran2 = ran.clone();
+        sim.spawn("parent", move || {
+            let me = current_task();
+            let mut children = Vec::with_capacity(ROUNDS);
+            for _ in 0..ROUNDS {
+                let ran = ran2.clone();
+                children.push(s2.spawn("child", move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    assert!(wake(me), "the parent is blocked");
+                }));
+                assert_eq!(block(None), WakeReason::Notified);
+            }
+            children.into_iter().for_each(JoinHandle::join);
+        });
+        run_bounded(&sim).unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), ROUNDS);
+    }
+
+    #[test]
+    fn run_returns_when_the_last_carrier_finishes_while_the_host_is_parked() {
+        let sim = Sim::new();
+        for step_ms in [1u64, 3] {
+            sim.spawn(format!("c{step_ms}"), move || {
+                for _ in 0..50 {
+                    sleep(Duration::from_millis(step_ms));
+                }
+                // Give the host real time to park before the last finish.
+                // simlint: allow(host-sleep)
+                std::thread::sleep(Duration::from_millis(20));
+            });
+        }
+        run_bounded(&sim).unwrap();
+        assert_eq!(sim.now().as_nanos(), 150_000_000);
+        assert_eq!(sim.live_tasks(), 0);
     }
 }
