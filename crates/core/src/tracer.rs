@@ -130,7 +130,7 @@ impl Tracer for DarshanTracer {
         // be optionally discarded"): skip the DXT walk and the per-record
         // in-situ analysis; only the counter diff is paid for.
         let dxt = if cfg.full_export {
-            self.wrapper.session_dxt()
+            self.wrapper.library().runtime().dxt_between(&start, &stop)
         } else {
             Vec::new()
         };

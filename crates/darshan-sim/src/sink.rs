@@ -214,7 +214,7 @@ impl Memo {
                 }
             }
             // Never folded; `on_events` skips them before taking locks.
-            EventKind::MmapFault { .. } | EventKind::TraceSpan { .. } | EventKind::Sync { .. } => {}
+            EventKind::MmapFault { .. } | EventKind::Sync { .. } => {}
         }
     }
 }
@@ -226,12 +226,11 @@ impl ProbeSink for DarshanSink {
         for ev in events {
             // Symbol-level instrumentation only sees what the *application*
             // called: libc-internal descriptor traffic, background prefetch
-            // daemon I/O, page faults (not syscalls: a blind spot), and the
-            // profiler's own spans and sync edges never reach the wrapped
-            // symbols.
+            // daemon I/O, page faults (not syscalls: a blind spot) and sync
+            // edges never reach the wrapped symbols.
             let folded = !matches!(
                 ev.kind,
-                EventKind::MmapFault { .. } | EventKind::TraceSpan { .. } | EventKind::Sync { .. }
+                EventKind::MmapFault { .. } | EventKind::Sync { .. }
             );
             if ev.origin == Origin::App && folded {
                 memo.fold(bufs.get_or_insert_with(|| self.rt.bufs()), ev);

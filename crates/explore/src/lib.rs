@@ -350,7 +350,7 @@ pub fn canonicalize(events: &[IoEvent]) -> Vec<CanonicalEvent> {
                     let dense = *obj_map.entry(obj).or_insert(next);
                     EventKind::Sync { op, obj: dense }
                 }
-                ref k => k.clone(),
+                k => k,
             };
             let resolved = ev.target.resolve();
             let target = if matches!(ev.kind, EventKind::Sync { .. }) {

@@ -65,7 +65,6 @@ fn commutes(kind: &EventKind) -> bool {
     matches!(
         kind,
         EventKind::Sync { .. }
-            | EventKind::TraceSpan { .. }
             | EventKind::MpiOpen { .. }
             | EventKind::MpiClose
             | EventKind::MpiIo { .. }

@@ -226,8 +226,7 @@ impl Inner {
             | EventKind::StdioFlush { .. }
             | EventKind::MpiOpen { .. }
             | EventKind::MpiClose
-            | EventKind::MpiIo { .. }
-            | EventKind::TraceSpan { .. } => {}
+            | EventKind::MpiIo { .. } => {}
         }
     }
 

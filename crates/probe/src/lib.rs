@@ -8,15 +8,16 @@
 //! each run of consecutive same-bus slots carries the index of its bus in
 //! a table of the buses with pending events, so staying on the previous
 //! event's bus costs one pointer compare and a bus change one lookup in
-//! that table. Event targets are interned [`PathId`]s (see [`intern`]), so
-//! an event is `Copy`-cheap to construct: no `Arc` refcount traffic on
-//! the hot path. The ring is drained at deterministic points only:
+//! that table. Event targets are interned [`PathId`]s (see [`intern`]) and
+//! every payload field is a plain integer, so [`IoEvent`] is `Copy`: no
+//! `Arc` refcount traffic and no heap data on the hot path. The ring is
+//! drained at deterministic points only:
 //!
 //! * whenever the simulated thread actually context-switches (simrt's
 //!   switch hook — fast-path virtual-time advances do *not* flush),
 //! * when a carrier task finishes,
 //! * explicitly via [`flush_current_thread`] at extraction points
-//!   (Darshan snapshot/totals, profiler start/stop, detach),
+//!   (Darshan snapshot/totals, detach),
 //! * inline, when a ring fills before any of the above (a thread emitting
 //!   more than [`RING_CAPACITY`] events between switches) — the full ring
 //!   is delivered immediately so emission is lossless and memory-bounded.
@@ -73,7 +74,7 @@ pub enum Origin {
 
 /// What happened. Descriptor, stream and map handles are raw integers so the
 /// spine does not depend on `posix-sim` (which depends on this crate).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// `open()` succeeded, returning `fd`.
     Open {
@@ -214,14 +215,6 @@ pub enum EventKind {
         /// True for the `_all` (collective) form.
         collective: bool,
     },
-    /// A host-side profiler annotation span (TraceMe). `target` carries the
-    /// span name; `label` the "thread (tid)" line it belongs to.
-    TraceSpan {
-        /// Timeline line label, `"{task_name} ({task_id})"` (interned).
-        label: PathId,
-        /// Extra key/value annotations attached to the span.
-        stats: Vec<(String, String)>,
-    },
     /// A synchronization operation (lock acquire/release, signal/wait edge,
     /// spawn/join/finish), bridged from `simrt` by [`SyncBridge`]. `target`
     /// carries the sync object's label. Interleaved with the I/O events in
@@ -238,7 +231,7 @@ pub enum EventKind {
 /// One completed instrumented operation: who, when, on what, and what kind.
 /// `Eq` compares every field; replay harnesses (the `explore` crate) use it
 /// to assert two schedules produced byte-identical event streams.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoEvent {
     /// Simulated thread that performed the operation.
     pub task: TaskId,
@@ -253,8 +246,8 @@ pub struct IoEvent {
     pub t1: SimTime,
     /// Application-issued or stdio-internal.
     pub origin: Origin,
-    /// Interned path the operation targets (span name for
-    /// [`EventKind::TraceSpan`]). Resolve to the string with
+    /// Interned path the operation targets (the sync object's label for
+    /// [`EventKind::Sync`]). Resolve to the string with
     /// [`PathId::resolve`] at fold/snapshot time; never on the hot path.
     pub target: PathId,
     /// Operation payload.
@@ -558,9 +551,8 @@ impl Drop for FlushGuard {
 
 /// Drain the calling OS thread's ring into the sinks of each event's bus,
 /// run by run in emission order. Installed as simrt's context-switch hook;
-/// also called explicitly at extraction points (snapshot, totals, detach,
-/// profiler start/stop) so the stream is complete there even without an
-/// intervening switch.
+/// also called explicitly at extraction points (snapshot, totals, detach)
+/// so the stream is complete there even without an intervening switch.
 pub fn flush_current_thread() {
     let Some(_flushing) = FlushGuard::enter() else {
         return;

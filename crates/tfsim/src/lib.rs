@@ -33,4 +33,4 @@ pub use profiler::{ProfilerError, ProfilerOptions, ProfilerServer, Tracer, Trace
 pub use runtime::TfRuntime;
 pub use tfrecord::{pack_files, TfRecordDataset, TfRecordShard, TfRecordWriter};
 pub use trace::{XEvent, XLine, XPlane, XSpace, XStat};
-pub use traceme::{HostEvent, TraceMe, TraceMeRecorder};
+pub use traceme::{TraceMe, TraceMeRecorder};

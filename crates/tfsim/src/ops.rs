@@ -100,6 +100,7 @@ pub fn restore_checkpoint(rt: &Arc<TfRuntime>, path: &str, chunk: u64) -> PosixR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::ProfilerOptions;
     use posix_sim::Process;
     use simrt::Sim;
     use storage_sim::{
@@ -148,6 +149,26 @@ mod tests {
     }
 
     #[test]
+    fn profiler_alone_leaves_the_probe_spine_idle() {
+        let sim = Sim::new();
+        let (rt, fs) = fixture(&sim);
+        fs.create_synthetic("/data/img", 4096, 1).unwrap();
+        sim.spawn("t", move || {
+            rt.profiler_start(ProfilerOptions::default()).unwrap();
+            assert!(
+                !rt.process().probe().is_active(),
+                "no sink without tf-Darshan"
+            );
+            assert_eq!(read_file(&rt, "/data/img").unwrap(), 4096);
+            assert!(!rt.process().probe().is_active());
+            let space = rt.profiler_stop().unwrap();
+            let host = space.plane("/host:CPU").unwrap();
+            assert_eq!(host.lines[0].events[0].name, "ReadFile");
+        });
+        sim.run();
+    }
+
+    #[test]
     fn read_file_missing_errors() {
         let sim = Sim::new();
         let (rt, _fs) = fixture(&sim);
@@ -184,8 +205,8 @@ mod tests {
             compute(&rt, "DecodeJpeg", Duration::from_millis(8));
             assert_eq!(simrt::now() - t0, Duration::from_millis(8));
             rt.recorder().stop();
-            let evs = rt.recorder().consume();
-            assert_eq!(evs.values().next().unwrap()[0].name, "DecodeJpeg");
+            let lines = rt.recorder().consume();
+            assert_eq!(lines[0].events[0].name, "DecodeJpeg");
         });
         sim.run();
     }

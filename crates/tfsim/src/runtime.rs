@@ -34,16 +34,11 @@ impl TfRuntime {
     /// `sim`, with `cores` logical CPUs.
     pub fn new(process: Arc<Process>, sim: Sim, cores: usize) -> Arc<Self> {
         assert!(cores > 0);
-        let recorder = Arc::new(TraceMeRecorder::new());
-        // Route TraceMe spans through the process's event spine: while a
-        // profiling session is active the recorder registers as a sink and
-        // spans are folded in batches at context-switch boundaries.
-        recorder.bind_spine(process.probe());
         Arc::new(TfRuntime {
             process,
             sim,
             cores,
-            recorder,
+            recorder: Arc::new(TraceMeRecorder::new()),
             factories: Mutex::new(Vec::new()),
             session: Mutex::new(None),
         })

@@ -16,7 +16,7 @@ pub struct XStat {
 }
 
 /// A timed event on a line.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct XEvent {
     /// Event name (op name, POSIX call, ...).
     pub name: String,

@@ -139,7 +139,7 @@ fn config() -> impl Strategy<Value = DarshanConfig> {
 }
 
 fn event(spec: &EvSpec) -> IoEvent {
-    let (origin, path, kind, start, dur) = spec.clone();
+    let (origin, path, kind, start, dur) = *spec;
     IoEvent {
         task: TaskId(1),
         pid: 1,

@@ -42,7 +42,6 @@ enum ShadowKind {
     Write { fd: i32, offset: u64, len: u64 },
     StdioRead { stream: u64, pos: u64, len: u64 },
     Stat,
-    TraceSpan { label: String },
     Sync { op: SyncOp, obj: u64 },
 }
 
@@ -87,7 +86,6 @@ fn shadow_kind() -> impl Strategy<Value = ShadowKind> {
         (any::<u64>(), any::<u64>(), 0u64..1 << 20)
             .prop_map(|(stream, pos, len)| ShadowKind::StdioRead { stream, pos, len }),
         Just(ShadowKind::Stat),
-        "[A-Za-z ]{0,16}\\(t[0-9]{1,3}\\)".prop_map(|label| ShadowKind::TraceSpan { label }),
         (any::<u64>()).prop_map(|obj| ShadowKind::Sync {
             op: SyncOp::Signal,
             obj
@@ -141,10 +139,6 @@ fn realize(s: &ShadowEvent) -> IoEvent {
                 len: *len,
             },
             ShadowKind::Stat => EventKind::Stat,
-            ShadowKind::TraceSpan { label } => EventKind::TraceSpan {
-                label: probe::intern(label),
-                stats: Vec::new(),
-            },
             ShadowKind::Sync { op, obj } => EventKind::Sync { op: *op, obj: *obj },
         },
     }
@@ -195,10 +189,6 @@ fn assert_equivalent(shadow: &ShadowEvent, got: &IoEvent) {
             prop_assert_eq!((gs, gp, gl), (stream, pos, len));
         }
         (ShadowKind::Stat, EventKind::Stat) => {}
-        (ShadowKind::TraceSpan { label }, EventKind::TraceSpan { label: gl, stats }) => {
-            prop_assert_eq!(&*gl.resolve(), label.as_str());
-            prop_assert!(stats.is_empty());
-        }
         (ShadowKind::Sync { op, obj }, EventKind::Sync { op: go, obj: gb }) => {
             prop_assert_eq!((go, gb), (op, obj));
         }

@@ -536,8 +536,7 @@ impl RefFold {
             EventKind::StdioSeek { stream, .. } => self.stream_meta(ev, stream, S::STDIO_SEEKS),
             EventKind::StdioFlush { stream } => self.stream_meta(ev, stream, S::STDIO_FLUSHES),
             // The streams this reference folds carry no MPI-IO calls.
-            EventKind::TraceSpan { .. }
-            | EventKind::Sync { .. }
+            EventKind::Sync { .. }
             | EventKind::MpiOpen { .. }
             | EventKind::MpiClose
             | EventKind::MpiIo { .. } => {}
